@@ -25,10 +25,11 @@ use cavenet_testkit::{
 
 use proptest::prelude::*;
 
-const PROTOCOLS: [Protocol; 5] = [
+const PROTOCOLS: [Protocol; 6] = [
     Protocol::Aodv,
     Protocol::Dymo,
     Protocol::Olsr,
+    Protocol::OlsrEtx,
     Protocol::Dsdv,
     Protocol::Flooding,
 ];
@@ -424,7 +425,7 @@ proptest! {
     /// and fault plan — restore-then-run equals the uninterrupted run.
     #[test]
     fn random_resume_is_bit_identical(
-        proto in 0usize..5,
+        proto in 0..PROTOCOLS.len(),
         seed in any::<u64>(),
         tenths in 1u64..9,
         faulted in any::<bool>(),

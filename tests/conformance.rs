@@ -54,6 +54,14 @@ fn golden_table1_olsr() {
 }
 
 #[test]
+fn golden_table1_olsr_etx() {
+    check_scenario_golden(
+        "table1_olsr_etx",
+        &conformance_scenario(Protocol::OlsrEtx, 1),
+    );
+}
+
+#[test]
 fn golden_table1_dymo() {
     check_scenario_golden("table1_dymo", &conformance_scenario(Protocol::Dymo, 1));
 }
