@@ -332,16 +332,16 @@ fn main() {
     manifest.add_timing("streamed", streamed_wall_s);
     manifest.add_timing("live_campaign", campaign_wall.as_secs_f64());
 
+    let report_path = report::artifact_path("benchmarks/BENCH_obs.json");
     report::write_report(
-        "benchmarks/BENCH_obs.json",
+        &report_path,
         &manifest,
         vec![("observability".into(), payload)],
     );
     let _ = std::fs::remove_dir_all(&root);
 
     if check {
-        let text =
-            std::fs::read_to_string("benchmarks/BENCH_obs.json").expect("read back the artifact");
+        let text = std::fs::read_to_string(&report_path).expect("read back the artifact");
         let json = cavenet_telemetry::json::parse(&text).expect("artifact is valid JSON");
         cavenet_telemetry::RunManifest::validate(json.get("manifest").expect("manifest present"))
             .expect("manifest validates");

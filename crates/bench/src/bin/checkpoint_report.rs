@@ -135,7 +135,7 @@ fn main() {
         ("digest_match", Json::Bool(true)),
     ]);
     report::write_report(
-        "benchmarks/BENCH_checkpoint.json",
+        &report::artifact_path("benchmarks/BENCH_checkpoint.json"),
         &manifest,
         vec![("checkpoint".into(), payload)],
     );

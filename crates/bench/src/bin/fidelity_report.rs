@@ -201,8 +201,13 @@ impl ClassDiff {
 
 /// `--check`: compare measured errors and the gate speedup against the
 /// committed report. Returns failures (empty = pass).
-fn check_against_committed(path: &str, classes: &[ClassDiff], gate_speedup: f64) -> Vec<String> {
-    let text = match std::fs::read_to_string(path) {
+fn check_against_committed(
+    file: &std::path::Path,
+    classes: &[ClassDiff],
+    gate_speedup: f64,
+) -> Vec<String> {
+    let path = file.display();
+    let text = match std::fs::read_to_string(file) {
         Ok(t) => t,
         Err(e) => return vec![format!("cannot read committed baseline {path}: {e}")],
     };
@@ -340,7 +345,9 @@ fn main() {
     }
 
     // `--check` verdict against the committed report, before overwriting.
-    let failures = check.then(|| check_against_committed(REPORT_PATH, &classes, gate_speedup));
+    let failures = check.then(|| {
+        check_against_committed(&report::artifact_path(REPORT_PATH), &classes, gate_speedup)
+    });
 
     let reference = conformance_scenario(Protocol::Aodv, 1);
     let mut manifest = RunManifest::new("fidelity_report");
@@ -354,11 +361,8 @@ fn main() {
     manifest.set_backend(Fidelity::Fluid.name());
     manifest.set_error_envelope(envelope);
 
-    if let Some(dir) = std::path::Path::new(REPORT_PATH).parent() {
-        std::fs::create_dir_all(dir).expect("create benchmarks dir");
-    }
     report::write_report(
-        REPORT_PATH,
+        &report::artifact_path(REPORT_PATH),
         &manifest,
         vec![
             (

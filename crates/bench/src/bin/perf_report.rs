@@ -214,8 +214,9 @@ mod pre_refactor {
 
 /// `--check`: compare `runs` against the committed baseline report. Returns
 /// the failures (empty = pass).
-fn check_against_committed(path: &str, runs: &[MemRun]) -> Vec<String> {
-    let text = match std::fs::read_to_string(path) {
+fn check_against_committed(file: &std::path::Path, runs: &[MemRun]) -> Vec<String> {
+    let path = file.display();
+    let text = match std::fs::read_to_string(file) {
         Ok(t) => t,
         Err(e) => return vec![format!("cannot read committed baseline {path}: {e}")],
     };
@@ -323,7 +324,10 @@ fn main() {
     // `--check` verdict is computed against the committed report before we
     // overwrite it below.
     let check_failures = if check {
-        Some(check_against_committed(REPORT_PATH, &flat_runs))
+        Some(check_against_committed(
+            &report::artifact_path(REPORT_PATH),
+            &flat_runs,
+        ))
     } else {
         None
     };
@@ -458,11 +462,8 @@ fn main() {
         flat_members.push(("before_after", obj(delta_members)));
     }
 
-    if let Some(dir) = std::path::Path::new(REPORT_PATH).parent() {
-        std::fs::create_dir_all(dir).expect("create benchmarks dir");
-    }
     report::write_report(
-        REPORT_PATH,
+        &report::artifact_path(REPORT_PATH),
         &manifest,
         vec![
             ("flat_memory".into(), obj(flat_members)),

@@ -129,7 +129,7 @@ fn main() {
     manifest.add_timing("total", t_start.elapsed().as_secs_f64());
 
     report::write_report(
-        "BENCH_resilience.json",
+        &report::artifact_path("BENCH_resilience.json"),
         &manifest,
         vec![
             (

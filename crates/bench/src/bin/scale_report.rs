@@ -184,8 +184,9 @@ fn cross_check(nodes: usize) -> DigestCheck {
 
 /// `--check`: compare the gate point against the committed report. Returns
 /// failures (empty = pass).
-fn check_against_committed(path: &str, gate: &ScaleRun) -> Vec<String> {
-    let text = match std::fs::read_to_string(path) {
+fn check_against_committed(file: &std::path::Path, gate: &ScaleRun) -> Vec<String> {
+    let path = file.display();
+    let text = match std::fs::read_to_string(file) {
         Ok(t) => t,
         Err(e) => return vec![format!("cannot read committed baseline {path}: {e}")],
     };
@@ -274,7 +275,10 @@ fn main() {
 
     // `--check` verdict against the committed report, before overwriting it.
     let regression_failures = match (&gate_run, check) {
-        (Some(gate), true) => Some(check_against_committed(REPORT_PATH, gate)),
+        (Some(gate), true) => Some(check_against_committed(
+            &report::artifact_path(REPORT_PATH),
+            gate,
+        )),
         (None, true) => Some(vec![format!(
             "sweep did not visit the gate point ({GATE_NODES} nodes, {GATE_SHARDS} shards)"
         )]),
@@ -321,11 +325,8 @@ fn main() {
         .crate_versions
         .push(("cavenet-bench".into(), env!("CARGO_PKG_VERSION").into()));
 
-    if let Some(dir) = std::path::Path::new(REPORT_PATH).parent() {
-        std::fs::create_dir_all(dir).expect("create benchmarks dir");
-    }
     report::write_report(
-        REPORT_PATH,
+        &report::artifact_path(REPORT_PATH),
         &manifest,
         vec![
             (

@@ -290,7 +290,7 @@ fn main() {
     manifest.add_timing("supervised_campaign", supervised_wall.as_secs_f64());
 
     report::write_report(
-        "benchmarks/BENCH_server.json",
+        &report::artifact_path("benchmarks/BENCH_server.json"),
         &manifest,
         vec![("server".into(), payload)],
     );

@@ -255,8 +255,9 @@ fn main() {
         manifest.add_timing(format!("{}_traced", run.protocol), run.traced_wall_s);
     }
 
+    let report_path = report::artifact_path("BENCH_telemetry.json");
     report::write_report(
-        "BENCH_telemetry.json",
+        &report_path,
         &manifest,
         vec![
             (
@@ -280,7 +281,7 @@ fn main() {
     );
 
     if check {
-        let text = std::fs::read_to_string("BENCH_telemetry.json").expect("read back the artifact");
+        let text = std::fs::read_to_string(&report_path).expect("read back the artifact");
         let json = cavenet_telemetry::json::parse(&text).expect("artifact is valid JSON");
         RunManifest::validate(json.get("manifest").expect("manifest present"))
             .expect("manifest validates");

@@ -16,6 +16,8 @@
 //! [`write_report`]; the envelope, rendering, file write and console echo
 //! happen here so the bins cannot drift apart.
 
+use std::path::{Path, PathBuf};
+
 use cavenet_telemetry::{Json, RunManifest};
 
 /// Version of the report envelope (not of any tool's payload).
@@ -57,16 +59,31 @@ pub fn assemble(manifest: &RunManifest, sections: Vec<(String, Json)>) -> Json {
     Json::Obj(members)
 }
 
-/// Write the report to `path` (pretty-printed) and echo it to stdout.
+/// `relative` (such as `benchmarks/BENCH_perf.json`) resolved against the
+/// workspace root, so a bench binary reads its committed baseline and
+/// writes its artifact in the same place whatever directory it runs from.
+pub fn artifact_path(relative: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
+        .join(relative)
+}
+
+/// Write the report to `path` (pretty-printed, creating its directory) and
+/// echo it to stdout.
 ///
 /// # Panics
 ///
 /// Panics when the file cannot be written — a bench artifact that silently
 /// fails to land is worse than a crashed bench run.
-pub fn write_report(path: &str, manifest: &RunManifest, sections: Vec<(String, Json)>) {
+pub fn write_report(path: &Path, manifest: &RunManifest, sections: Vec<(String, Json)>) {
     let rendered = assemble(manifest, sections).render_pretty();
-    std::fs::write(path, &rendered).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("\nwrote {path}:\n{rendered}");
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    }
+    std::fs::write(path, &rendered).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("\nwrote {}:\n{rendered}", path.display());
 }
 
 #[cfg(test)]
@@ -103,6 +120,13 @@ mod tests {
             manifest.get("resume_step").and_then(Json::as_u64),
             Some(4096)
         );
+    }
+
+    #[test]
+    fn artifact_paths_resolve_to_the_committed_benchmarks_dir() {
+        let path = artifact_path("benchmarks/BENCH_perf.json");
+        assert!(path.is_absolute());
+        assert!(path.exists(), "{} missing", path.display());
     }
 
     #[test]

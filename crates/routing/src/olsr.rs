@@ -16,7 +16,8 @@
 //! the rate the neighbour reports back — exactly the olsrd LQ extension the
 //! paper cites.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 use cavenet_net::snapshot::{read_node_id, read_time, write_node_id, write_time};
@@ -135,7 +136,8 @@ pub struct Olsr {
     links: HashMap<NodeId, LinkInfo>,
     /// (neighbour, two-hop node) → expiry.
     two_hop: HashMap<(NodeId, NodeId), SimTime>,
-    mprs: HashSet<NodeId>,
+    /// Selected MPRs, sorted.
+    mprs: Vec<NodeId>,
     /// Neighbours that selected us as MPR → expiry.
     mpr_selectors: HashMap<NodeId, SimTime>,
     /// (destination, last hop) → (link quality, expiry).
@@ -144,8 +146,21 @@ pub struct Olsr {
     origin_ansn: HashMap<NodeId, u16>,
     /// TC duplicate cache: (origin, seq) → expiry.
     seen_tc: HashMap<(NodeId, u32), SimTime>,
-    /// Destination → (next hop, cost).
-    routes: HashMap<NodeId, (NodeId, f64)>,
+    /// `(destination, next hop, cost)`, sorted by destination. Current
+    /// only while `stale` is `None`.
+    routes: Vec<Route>,
+    /// `Some((now, me))` when a route input changed at `now` after `routes`
+    /// was built; the table is then rebuilt as of `now` when next read.
+    ///
+    /// Invariant: the route inputs — `links` (including `sym_until`, `lqi`
+    /// and `hello_times`), `two_hop` and `topology` — change only in
+    /// `handle_hello`, `handle_tc` and `tick`, and each of those calls
+    /// [`Olsr::invalidate_routes`] at the same instant, after its last
+    /// change. So the inputs at read time are the inputs at the recorded
+    /// `now`, and the lazily built table equals the one an eager rebuild
+    /// after every change would have left. A handler that changes a route
+    /// input without invalidating breaks this.
+    stale: Option<(SimTime, NodeId)>,
     tc_seq: u32,
     ansn: u16,
     last_selector_snapshot: Vec<NodeId>,
@@ -177,12 +192,13 @@ impl Olsr {
             config,
             links: HashMap::new(),
             two_hop: HashMap::new(),
-            mprs: HashSet::new(),
+            mprs: Vec::new(),
             mpr_selectors: HashMap::new(),
             topology: HashMap::new(),
             origin_ansn: HashMap::new(),
             seen_tc: HashMap::new(),
-            routes: HashMap::new(),
+            routes: Vec::new(),
+            stale: None,
             tc_seq: 0,
             ansn: 0,
             last_selector_snapshot: Vec::new(),
@@ -203,9 +219,7 @@ impl Olsr {
 
     /// Currently selected MPRs.
     pub fn mpr_set(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.mprs.iter().copied().collect();
-        v.sort();
-        v
+        self.mprs.clone()
     }
 
     /// Current unexpired `(symmetric neighbour, two-hop node)` adjacency as
@@ -224,7 +238,23 @@ impl Olsr {
 
     /// The computed route to `dst`, as `(next_hop, cost)`.
     pub fn route(&self, dst: NodeId) -> Option<(NodeId, f64)> {
-        self.routes.get(&dst).copied()
+        lookup(&self.current_routes(), dst)
+    }
+
+    /// The route table as of the last input change, built on the fly (and
+    /// not cached) when stale.
+    fn current_routes(&self) -> Cow<'_, [Route]> {
+        match self.stale {
+            Some((now, me)) => Cow::Owned(self.compute_routes(me, now)),
+            None => Cow::Borrowed(&self.routes),
+        }
+    }
+
+    /// Rebuild the route table if a route input changed since it was built.
+    fn refresh_routes(&mut self) {
+        if let Some((now, me)) = self.stale.take() {
+            self.routes = self.compute_routes(me, now);
+        }
     }
 
     /// Measured arrival rate (NI) for a neighbour over the LQ window.
@@ -287,7 +317,7 @@ impl Olsr {
             .map(|(&addr, l)| HelloEntry {
                 addr,
                 sym: l.is_sym(now),
-                is_mpr: self.mprs.contains(&addr),
+                is_mpr: self.mprs.binary_search(&addr).is_ok(),
                 lq: self.ni(addr, now),
             })
             .collect();
@@ -366,7 +396,7 @@ impl Olsr {
             }
         }
         self.recompute_mprs(now);
-        self.recompute_routes(api);
+        self.invalidate_routes(now, me);
     }
 
     fn handle_tc(&mut self, api: &mut NodeApi<'_>, packet: &Packet, tc: &Tc, from: NodeId) {
@@ -408,7 +438,7 @@ impl Olsr {
                 self.topology
                     .insert((sel, tc.origin), (lq, now + self.config.top_hold));
             }
-            self.recompute_routes(api);
+            self.invalidate_routes(now, api.id());
         }
 
         // MPR flooding: forward only if the sender selected us as MPR.
@@ -419,90 +449,89 @@ impl Olsr {
         }
     }
 
-    /// Greedy MPR selection (RFC 3626 §8.3.1 heuristic).
+    /// Greedy MPR selection (RFC 3626 §8.3.1 heuristic): first every
+    /// neighbour that is the sole cover of some strict two-hop node, then
+    /// repeatedly the neighbour covering the most still-uncovered ones
+    /// (lowest id on ties).
     fn recompute_mprs(&mut self, now: SimTime) {
-        let neighbours: HashSet<NodeId> = self
-            .links
-            .iter()
-            .filter(|(_, l)| l.is_sym(now))
-            .map(|(&n, _)| n)
-            .collect();
-        // Strict two-hop set: reachable via a sym neighbour, not a neighbour
-        // itself.
         self.two_hop.retain(|_, &mut exp| exp > now);
-        let mut uncovered: HashSet<NodeId> = self
+        let neighbours = self.symmetric_neighbours(now);
+        let is_neighbour = |n: &NodeId| neighbours.binary_search(n).is_ok();
+        // Strict two-hop adjacency, grouped by neighbour: reachable via a
+        // sym neighbour, not a neighbour itself.
+        let mut pairs: Vec<(NodeId, NodeId)> = self
             .two_hop
             .keys()
-            .filter(|(n, t)| neighbours.contains(n) && !neighbours.contains(t))
-            .map(|&(_, t)| t)
+            .filter(|(n, t)| is_neighbour(n) && !is_neighbour(t))
+            .copied()
             .collect();
-        let coverage: HashMap<NodeId, HashSet<NodeId>> = neighbours
-            .iter()
-            .map(|&n| {
-                let covers: HashSet<NodeId> = self
-                    .two_hop
-                    .keys()
-                    .filter(|&&(nb, t)| nb == n && uncovered.contains(&t))
-                    .map(|&(_, t)| t)
-                    .collect();
-                (n, covers)
-            })
-            .collect();
-        let mut mprs = HashSet::new();
-        // 1. Neighbours that are the sole cover of some two-hop node.
-        for &t in uncovered.clone().iter() {
-            let covers: Vec<NodeId> = coverage
-                .iter()
-                .filter(|(_, c)| c.contains(&t))
-                .map(|(&n, _)| n)
-                .collect();
-            if covers.len() == 1 {
-                mprs.insert(covers[0]);
-            }
+        pairs.sort_unstable();
+        let mut targets: Vec<NodeId> = pairs.iter().map(|&(_, t)| t).collect();
+        targets.sort_unstable();
+        targets.dedup();
+        let target = |t: NodeId| targets.binary_search(&t).unwrap_or_else(|_| unreachable!());
+        let mut covers = vec![0u32; targets.len()];
+        for &(_, t) in &pairs {
+            covers[target(t)] += 1;
         }
-        for m in &mprs {
-            if let Some(c) = coverage.get(m) {
-                for t in c {
-                    uncovered.remove(t);
-                }
+        // 1. Neighbours that are the sole cover of some two-hop node.
+        let mut mprs: Vec<NodeId> = pairs
+            .iter()
+            .filter(|&&(_, t)| covers[target(t)] == 1)
+            .map(|&(n, _)| n)
+            .collect();
+        mprs.dedup();
+        // Marks the two-hop nodes `n` covers; returns how many were new.
+        let cover = |n: NodeId, covered: &mut [bool]| {
+            let mut new = 0;
+            for &(_, t) in pairs.iter().filter(|&&(nb, _)| nb == n) {
+                let i = target(t);
+                new += usize::from(!covered[i]);
+                covered[i] = true;
             }
+            new
+        };
+        let mut covered = vec![false; targets.len()];
+        let mut uncovered = targets.len();
+        for &m in &mprs {
+            uncovered -= cover(m, &mut covered);
         }
         // 2. Greedy: repeatedly take the neighbour covering most uncovered.
-        while !uncovered.is_empty() {
-            let best = coverage
-                .iter()
-                .filter(|(n, _)| !mprs.contains(*n))
-                .max_by_key(|(n, c)| {
-                    (
-                        c.iter().filter(|t| uncovered.contains(t)).count(),
-                        // Deterministic tie-break by id.
-                        std::cmp::Reverse(n.0),
-                    )
-                })
-                .map(|(&n, _)| n);
-            let Some(best) = best else { break };
-            let gain: Vec<NodeId> = coverage[&best]
-                .iter()
-                .filter(|t| uncovered.contains(t))
-                .copied()
-                .collect();
-            if gain.is_empty() {
+        while uncovered > 0 {
+            let mut best: Option<(usize, NodeId)> = None;
+            for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+                let n = group[0].0;
+                if mprs.binary_search(&n).is_ok() {
+                    continue;
+                }
+                let gain = group.iter().filter(|&&(_, t)| !covered[target(t)]).count();
+                // Groups ascend by id, so the first maximum has the lowest.
+                if best.is_none_or(|(g, _)| gain > g) {
+                    best = Some((gain, n));
+                }
+            }
+            let Some((gain, best)) = best else { break };
+            if gain == 0 {
                 break;
             }
-            mprs.insert(best);
-            for t in gain {
-                uncovered.remove(&t);
-            }
+            let at = mprs.binary_search(&best).unwrap_err();
+            mprs.insert(at, best);
+            uncovered -= cover(best, &mut covered);
         }
         self.mprs = mprs;
     }
 
-    /// Dijkstra over HELLO links + TC topology.
-    fn recompute_routes(&mut self, api: &mut NodeApi<'_>) {
-        let now = api.now();
-        let me = api.id();
+    /// Expire TC topology entries and mark the route table stale as of
+    /// `now`. Every change to a route input must be followed by this call
+    /// at the same instant (see `stale`).
+    fn invalidate_routes(&mut self, now: SimTime, me: NodeId) {
         self.topology.retain(|_, &mut (_, exp)| exp > now);
+        self.stale = Some((now, me));
+    }
 
+    /// Dijkstra over HELLO links + TC topology as of `now`, on index
+    /// arrays over the sorted node ids.
+    fn compute_routes(&self, me: NodeId, now: SimTime) -> Vec<Route> {
         // Edge list: (from, to, cost).
         let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::new();
         for (&n, l) in &self.links {
@@ -521,42 +550,55 @@ impl Olsr {
         // The edge list is assembled from HashMaps, so its order is
         // per-process random; equal-cost relaxations below resolve by edge
         // order, which must not leak into next-hop choice.
-        edges.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.total_cmp(&b.2)));
+        edges.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.total_cmp(&b.2)));
+
+        let mut ids: Vec<NodeId> = edges.iter().flat_map(|&(f, t, _)| [f, t]).collect();
+        ids.push(me);
+        ids.sort_unstable();
+        ids.dedup();
+        let index = |n: NodeId| ids.binary_search(&n).unwrap_or_else(|_| unreachable!());
+        let me_i = index(me);
 
         // Dijkstra with a simple scan (graphs are tiny).
-        let mut dist: HashMap<NodeId, f64> = HashMap::new();
-        let mut first_hop: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut done: HashSet<NodeId> = HashSet::new();
-        dist.insert(me, 0.0);
+        let mut dist: Vec<Option<f64>> = vec![None; ids.len()];
+        let mut first_hop: Vec<Option<usize>> = vec![None; ids.len()];
+        let mut done = vec![false; ids.len()];
+        dist[me_i] = Some(0.0);
         loop {
-            let next = dist
-                .iter()
-                .filter(|(n, _)| !done.contains(*n))
-                .min_by(|a, b| a.1.total_cmp(b.1).then_with(|| a.0.cmp(b.0)))
-                .map(|(&n, &d)| (n, d));
+            // The next node is the minimum of (dist, id).
+            let mut next: Option<(usize, f64)> = None;
+            for (i, d) in dist.iter().enumerate() {
+                if let (Some(d), false) = (*d, done[i]) {
+                    if next.is_none_or(|(_, best)| d.total_cmp(&best).is_lt()) {
+                        next = Some((i, d));
+                    }
+                }
+            }
             let Some((u, du)) = next else { break };
-            done.insert(u);
-            for &(from, to, cost) in &edges {
-                if from != u || cost.is_infinite() {
+            done[u] = true;
+            let from = ids[u];
+            let lo = edges.partition_point(|e| e.0 < from);
+            let hi = lo + edges[lo..].partition_point(|e| e.0 == from);
+            for &(_, to, cost) in &edges[lo..hi] {
+                if cost.is_infinite() {
                     continue;
                 }
+                let to = index(to);
                 let nd = du + cost;
-                if dist.get(&to).is_none_or(|&old| nd < old - 1e-12) {
-                    dist.insert(to, nd);
-                    let fh = if u == me {
+                if dist[to].is_none_or(|old| nd < old - 1e-12) {
+                    dist[to] = Some(nd);
+                    first_hop[to] = Some(if u == me_i {
                         to
                     } else {
-                        first_hop.get(&u).copied().unwrap_or(u)
-                    };
-                    first_hop.insert(to, fh);
+                        first_hop[u].unwrap_or(u)
+                    });
                 }
             }
         }
-        self.routes = dist
-            .into_iter()
-            .filter(|&(n, _)| n != me)
-            .filter_map(|(n, d)| first_hop.get(&n).map(|&fh| (n, (fh, d))))
-            .collect();
+        (0..ids.len())
+            .filter(|&i| i != me_i)
+            .filter_map(|i| Some((ids[i], ids[first_hop[i]?], dist[i]?)))
+            .collect()
     }
 
     fn tick(&mut self, api: &mut NodeApi<'_>) {
@@ -565,8 +607,19 @@ impl Olsr {
         self.links
             .retain(|_, l| l.is_heard(now) || !l.hello_times.is_empty());
         self.recompute_mprs(now);
-        self.recompute_routes(api);
+        self.invalidate_routes(now, api.id());
     }
+}
+
+/// `(destination, next hop, cost)`.
+type Route = (NodeId, NodeId, f64);
+
+/// The `(next hop, cost)` for `dst` in a destination-sorted table.
+fn lookup(routes: &[Route], dst: NodeId) -> Option<(NodeId, f64)> {
+    routes
+        .binary_search_by_key(&dst, |r| r.0)
+        .ok()
+        .map(|i| (routes[i].1, routes[i].2))
 }
 
 /// Serializer for OLSR's in-flight control payloads (HELLO and TC). The
@@ -658,7 +711,7 @@ impl RoutingProtocol for Olsr {
 
     fn telemetry(&self) -> RoutingTelemetry {
         RoutingTelemetry {
-            route_table_size: self.routes.len() as u64,
+            route_table_size: self.current_routes().len() as u64,
             neighbours: self.links.len() as u64,
             mpr_set_size: self.mprs.len() as u64,
             ..RoutingTelemetry::default()
@@ -685,7 +738,8 @@ impl RoutingProtocol for Olsr {
             api.send(packet, NodeId::BROADCAST);
             return;
         }
-        if let Some(&(nh, _)) = self.routes.get(&packet.dst) {
+        self.refresh_routes();
+        if let Some((nh, _)) = lookup(&self.routes, packet.dst) {
             api.send(packet, nh);
         } else {
             // Proactive protocol: no route means drop (no buffering).
@@ -695,13 +749,11 @@ impl RoutingProtocol for Olsr {
 
     fn handle_received(&mut self, api: &mut NodeApi<'_>, mut packet: Packet, from: NodeId) {
         if let Some(hello) = packet.body.as_control::<Hello>() {
-            let hello = hello.clone();
-            self.handle_hello(api, &hello, from);
+            self.handle_hello(api, hello, from);
             return;
         }
         if let Some(tc) = packet.body.as_control::<Tc>() {
-            let tc = tc.clone();
-            self.handle_tc(api, &packet, &tc, from);
+            self.handle_tc(api, &packet, tc, from);
             return;
         }
         // Data.
@@ -714,7 +766,8 @@ impl RoutingProtocol for Olsr {
             return;
         }
         packet.ttl -= 1;
-        if let Some(&(nh, _)) = self.routes.get(&packet.dst) {
+        self.refresh_routes();
+        if let Some((nh, _)) = lookup(&self.routes, packet.dst) {
             api.send(packet, nh);
         } else {
             api.drop_packet(packet, DropReason::NoRoute);
@@ -774,10 +827,8 @@ impl RoutingProtocol for Olsr {
             write_time(w, self.two_hop[&key]);
         }
 
-        let mut mprs: Vec<NodeId> = self.mprs.iter().copied().collect();
-        mprs.sort_by_key(|n| n.0);
-        w.put_usize(mprs.len());
-        for n in mprs {
+        w.put_usize(self.mprs.len());
+        for &n in &self.mprs {
             write_node_id(w, n);
         }
 
@@ -817,11 +868,9 @@ impl RoutingProtocol for Olsr {
             write_time(w, self.seen_tc[&key]);
         }
 
-        let mut routes: Vec<NodeId> = self.routes.keys().copied().collect();
-        routes.sort_by_key(|n| n.0);
+        let routes = self.current_routes();
         w.put_usize(routes.len());
-        for n in routes {
-            let (nh, cost) = self.routes[&n];
+        for &(n, nh, cost) in routes.iter() {
             write_node_id(w, n);
             write_node_id(w, nh);
             w.put_f64(cost);
@@ -867,8 +916,10 @@ impl RoutingProtocol for Olsr {
 
         self.mprs.clear();
         for _ in 0..r.get_usize()? {
-            self.mprs.insert(read_node_id(r)?);
+            self.mprs.push(read_node_id(r)?);
         }
+        self.mprs.sort_unstable();
+        self.mprs.dedup();
 
         self.mpr_selectors.clear();
         for _ in 0..r.get_usize()? {
@@ -898,11 +949,11 @@ impl RoutingProtocol for Olsr {
 
         self.routes.clear();
         for _ in 0..r.get_usize()? {
-            let n = read_node_id(r)?;
-            let nh = read_node_id(r)?;
-            let cost = r.get_f64()?;
-            self.routes.insert(n, (nh, cost));
+            self.routes
+                .push((read_node_id(r)?, read_node_id(r)?, r.get_f64()?));
         }
+        self.routes.sort_by_key(|r| r.0);
+        self.stale = None;
 
         self.tc_seq = r.get_u32()?;
         self.ansn = r.get_u16()?;
@@ -922,6 +973,261 @@ impl RoutingProtocol for Olsr {
 mod tests {
     use super::*;
     use crate::testutil::{run_line, run_ring};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    // --- Oracles: the eager HashMap implementations the index-array code
+    // replaced, kept to check it against. ---
+
+    /// The former HashMap Dijkstra over `o`'s inputs at `now` (after the
+    /// topology expiry that preceded it).
+    fn oracle_routes(o: &Olsr, me: NodeId, now: SimTime) -> HashMap<NodeId, (NodeId, f64)> {
+        let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::new();
+        for (&n, l) in &o.links {
+            if l.is_sym(now) {
+                edges.push((me, n, o.link_cost(n, now)));
+            }
+        }
+        for (&(n, t), &exp) in &o.two_hop {
+            if exp > now {
+                edges.push((n, t, 1.0));
+            }
+        }
+        for (&(dest, lasthop), &(lq, exp)) in &o.topology {
+            if exp > now {
+                edges.push((lasthop, dest, o.remote_cost(lq)));
+            }
+        }
+        edges.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.total_cmp(&b.2)));
+        let mut dist: HashMap<NodeId, f64> = HashMap::new();
+        let mut first_hop: HashMap<NodeId, NodeId> = HashMap::new();
+        let mut done: HashSet<NodeId> = HashSet::new();
+        dist.insert(me, 0.0);
+        loop {
+            let next = dist
+                .iter()
+                .filter(|(n, _)| !done.contains(*n))
+                .min_by(|a, b| a.1.total_cmp(b.1).then_with(|| a.0.cmp(b.0)))
+                .map(|(&n, &d)| (n, d));
+            let Some((u, du)) = next else { break };
+            done.insert(u);
+            for &(from, to, cost) in &edges {
+                if from != u || cost.is_infinite() {
+                    continue;
+                }
+                let nd = du + cost;
+                if dist.get(&to).is_none_or(|&old| nd < old - 1e-12) {
+                    dist.insert(to, nd);
+                    let fh = if u == me {
+                        to
+                    } else {
+                        first_hop.get(&u).copied().unwrap_or(u)
+                    };
+                    first_hop.insert(to, fh);
+                }
+            }
+        }
+        dist.into_iter()
+            .filter(|&(n, _)| n != me)
+            .filter_map(|(n, d)| first_hop.get(&n).map(|&fh| (n, (fh, d))))
+            .collect()
+    }
+
+    /// The former HashSet MPR selection over `o`'s inputs at `now`.
+    fn oracle_mprs(o: &Olsr, now: SimTime) -> HashSet<NodeId> {
+        let neighbours: HashSet<NodeId> = o
+            .links
+            .iter()
+            .filter(|(_, l)| l.is_sym(now))
+            .map(|(&n, _)| n)
+            .collect();
+        let mut two_hop = o.two_hop.clone();
+        two_hop.retain(|_, &mut exp| exp > now);
+        let mut uncovered: HashSet<NodeId> = two_hop
+            .keys()
+            .filter(|(n, t)| neighbours.contains(n) && !neighbours.contains(t))
+            .map(|&(_, t)| t)
+            .collect();
+        let coverage: HashMap<NodeId, HashSet<NodeId>> = neighbours
+            .iter()
+            .map(|&n| {
+                let covers: HashSet<NodeId> = two_hop
+                    .keys()
+                    .filter(|&&(nb, t)| nb == n && uncovered.contains(&t))
+                    .map(|&(_, t)| t)
+                    .collect();
+                (n, covers)
+            })
+            .collect();
+        let mut mprs = HashSet::new();
+        for &t in uncovered.clone().iter() {
+            let covers: Vec<NodeId> = coverage
+                .iter()
+                .filter(|(_, c)| c.contains(&t))
+                .map(|(&n, _)| n)
+                .collect();
+            if covers.len() == 1 {
+                mprs.insert(covers[0]);
+            }
+        }
+        for m in &mprs {
+            if let Some(c) = coverage.get(m) {
+                for t in c {
+                    uncovered.remove(t);
+                }
+            }
+        }
+        while !uncovered.is_empty() {
+            let best = coverage
+                .iter()
+                .filter(|(n, _)| !mprs.contains(*n))
+                .max_by_key(|(n, c)| {
+                    (
+                        c.iter().filter(|t| uncovered.contains(t)).count(),
+                        std::cmp::Reverse(n.0),
+                    )
+                })
+                .map(|(&n, _)| n);
+            let Some(best) = best else { break };
+            let gain: Vec<NodeId> = coverage[&best]
+                .iter()
+                .filter(|t| uncovered.contains(t))
+                .copied()
+                .collect();
+            if gain.is_empty() {
+                break;
+            }
+            mprs.insert(best);
+            for t in gain {
+                uncovered.remove(&t);
+            }
+        }
+        mprs
+    }
+
+    const ME: NodeId = NodeId(0);
+
+    fn at(secs: u64) -> SimTime {
+        SimTime::from_secs(secs)
+    }
+
+    /// A node at 20 s with random links, two-hop and topology sets over
+    /// ids 0..8. Link states cover symmetric, heard-only and just-expired
+    /// links; HELLO counts 0..12 in a 10 s window give ETX costs from
+    /// infinite (no HELLO) to 1, with equal-cost ties between different
+    /// (NI, LQI) pairs; TC qualities include 0 (infinite cost).
+    #[allow(clippy::type_complexity)]
+    fn build_state(
+        (etx, links, two_hop, topology): (
+            bool,
+            Vec<(u32, u8, u64, u8)>,
+            Vec<(u32, u32, bool)>,
+            Vec<(u32, u32, u8, bool)>,
+        ),
+    ) -> Olsr {
+        let now = at(20);
+        let mut o = if etx { Olsr::new_etx() } else { Olsr::new() };
+        for (n, state, hellos, lqi) in links {
+            let mut link = LinkInfo::new();
+            link.heard_until = if state == 2 { now } else { at(21) };
+            link.sym_until = match state {
+                0 => at(21),
+                1 => at(5),
+                _ => now,
+            };
+            link.hello_times = (0..hellos).rev().map(|k| at(20 - k)).collect();
+            link.lqi = [1.0, 0.5, 0.25][usize::from(lqi)];
+            o.links.insert(NodeId(n), link);
+        }
+        for (n, t, alive) in two_hop {
+            let exp = if alive { at(21) } else { now };
+            o.two_hop.insert((NodeId(n), NodeId(t)), exp);
+        }
+        for (dest, lasthop, lq, alive) in topology {
+            let exp = if alive { at(26) } else { at(19) };
+            let lq = [0.0, 0.25, 0.5, 1.0][usize::from(lq)];
+            o.topology
+                .insert((NodeId(dest), NodeId(lasthop)), (lq, exp));
+        }
+        o
+    }
+
+    fn arb_state() -> impl Strategy<Value = Olsr> {
+        (
+            any::<bool>(),
+            prop::collection::vec((1u32..8, 0u8..3, 0u64..13, 0u8..3), 0..8),
+            prop::collection::vec((0u32..8, 0u32..8, any::<bool>()), 0..20),
+            prop::collection::vec((0u32..8, 0u32..8, 0u8..4, any::<bool>()), 0..20),
+        )
+            .prop_map(build_state)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn routes_match_the_hashmap_oracle(o in arb_state()) {
+            let mut o = o;
+            let expect = oracle_routes(&o, ME, at(20));
+            o.invalidate_routes(at(20), ME);
+            let got = o.current_routes().into_owned();
+            prop_assert_eq!(got.len(), expect.len());
+            for (dst, nh, cost) in got {
+                let want = expect.get(&dst).map(|&(n, c)| (n, c.to_bits()));
+                prop_assert_eq!(Some((nh, cost.to_bits())), want);
+            }
+        }
+
+        #[test]
+        fn mprs_match_the_hashset_oracle(o in arb_state()) {
+            let mut o = o;
+            let mut expect: Vec<NodeId> = oracle_mprs(&o, at(20)).into_iter().collect();
+            expect.sort();
+            o.recompute_mprs(at(20));
+            prop_assert_eq!(o.mpr_set(), expect);
+        }
+    }
+
+    #[test]
+    fn stale_table_reads_equal_the_forced_table() {
+        // ETX: the link cost depends on the clock, so the table must be
+        // built as of the recorded instant, not the read instant.
+        let (_, sim) = run_line(4, 200.0, |_| Box::new(Olsr::new_etx()), 0, 3, 20, 12.0, 3);
+        let capture = |o: &Olsr| {
+            let mut w = WireWriter::new();
+            o.capture_state(&mut w).expect("capture");
+            w.into_bytes()
+        };
+        let reads = |o: &Olsr| {
+            let routes: Vec<_> = (0..4).map(|d| o.route(NodeId(d))).collect();
+            (routes, o.telemetry().route_table_size, capture(o))
+        };
+        let mut checked = 0;
+        for i in 0..4 {
+            let node = sim
+                .routing(i)
+                .expect("routing attached")
+                .as_any()
+                .expect("OLSR opts into downcasting")
+                .downcast_ref::<Olsr>()
+                .expect("protocol is OLSR");
+            let Some(stale) = node.stale else { continue };
+            // Same inputs, table not yet built.
+            let mut copy = Olsr::new_etx();
+            copy.restore_state(&mut WireReader::new(&capture(node)))
+                .expect("restore");
+            copy.routes.clear();
+            copy.stale = Some(stale);
+            let before = reads(&copy);
+            assert_eq!(before, reads(node), "node {i}");
+            assert!(before.1 > 0, "node {i}: converged line has routes");
+            copy.refresh_routes();
+            assert!(copy.stale.is_none());
+            assert_eq!(reads(&copy), before, "node {i}: forcing changed a read");
+            checked += 1;
+        }
+        assert!(checked > 0, "no node ended the run with a stale table");
+    }
 
     #[test]
     fn name() {
