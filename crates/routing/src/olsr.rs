@@ -469,7 +469,11 @@ impl Olsr {
         let mut targets: Vec<NodeId> = pairs.iter().map(|&(_, t)| t).collect();
         targets.sort_unstable();
         targets.dedup();
-        let target = |t: NodeId| targets.binary_search(&t).unwrap_or_else(|_| unreachable!());
+        let target = |t: NodeId| {
+            targets
+                .binary_search(&t)
+                .expect("every pair's two-hop node is a target")
+        };
         let mut covers = vec![0u32; targets.len()];
         for &(_, t) in &pairs {
             covers[target(t)] += 1;
@@ -514,7 +518,7 @@ impl Olsr {
             if gain == 0 {
                 break;
             }
-            let at = mprs.binary_search(&best).unwrap_err();
+            let (Ok(at) | Err(at)) = mprs.binary_search(&best);
             mprs.insert(at, best);
             uncovered -= cover(best, &mut covered);
         }
@@ -556,7 +560,10 @@ impl Olsr {
         ids.push(me);
         ids.sort_unstable();
         ids.dedup();
-        let index = |n: NodeId| ids.binary_search(&n).unwrap_or_else(|_| unreachable!());
+        let index = |n: NodeId| {
+            ids.binary_search(&n)
+                .expect("every edge endpoint is in ids")
+        };
         let me_i = index(me);
 
         // Dijkstra with a simple scan (graphs are tiny).
@@ -1190,8 +1197,8 @@ mod tests {
 
     #[test]
     fn stale_table_reads_equal_the_forced_table() {
-        // ETX: the link cost depends on the clock, so the table must be
-        // built as of the recorded instant, not the read instant.
+        // ETX, whose link cost depends on the clock: every read must use
+        // the table as of the recorded instant.
         let (_, sim) = run_line(4, 200.0, |_| Box::new(Olsr::new_etx()), 0, 3, 20, 12.0, 3);
         let capture = |o: &Olsr| {
             let mut w = WireWriter::new();
@@ -1224,6 +1231,12 @@ mod tests {
             copy.refresh_routes();
             assert!(copy.stale.is_none());
             assert_eq!(reads(&copy), before, "node {i}: forcing changed a read");
+            let (at, me) = stale;
+            let eager = oracle_routes(&copy, me, at);
+            assert_eq!(copy.routes.len(), eager.len(), "node {i}");
+            for &(dst, nh, cost) in &copy.routes {
+                assert_eq!(Some(&(nh, cost)), eager.get(&dst), "node {i}");
+            }
             checked += 1;
         }
         assert!(checked > 0, "no node ended the run with a stale table");
