@@ -9,8 +9,9 @@
 use std::time::Duration;
 
 use cavenet_ca::FundamentalDiagram;
+use cavenet_core::mobility::{MobilityTrace, NodeTrajectory, Point2, TraceSample};
 use cavenet_core::{Experiment, Fidelity, MobilitySource, Protocol, Scenario};
-use cavenet_net::{FaultPlan, RecoveryMode, SimTime};
+use cavenet_net::{DropCounts, FaultPlan, RecoveryMode, SimTime};
 use cavenet_stats::Ensemble;
 use cavenet_testkit::{
     assert_equiv, check_golden, digest_scenario, GoldenDigest, InvariantChecker, Tee,
@@ -450,6 +451,105 @@ fn fluid_errors_stay_within_the_class_tolerance_table() {
              {goodput_tol} (exact {exact_bits:.0} bits, fluid {fluid_bits:.0} bits)"
         );
     }
+}
+
+// --- Golden digests: the fluid backend ------------------------------------
+
+/// Run `scenario` under the fluid backend and check it against the
+/// committed fixture `name`: the digest folds [`FluidEngine::digest`] and
+/// every [`cavenet_core::ExperimentResult`] field, the event count is the
+/// number of model steps.
+///
+/// [`FluidEngine::digest`]: cavenet_core::fluid::FluidEngine::digest
+fn check_fluid_golden(name: &str, scenario: &Scenario) {
+    let mut s = scenario.clone();
+    s.fidelity = Fidelity::Fluid;
+    let (r, engine) = Experiment::new(s).run_fluid().expect("fluid run");
+    assert!(
+        r.total_sent() > 0,
+        "fluid golden `{name}` carried no traffic"
+    );
+    let mut d = GoldenDigest::new();
+    d.absorb_u64(engine.digest());
+    d.absorb_u64(r.duration.as_nanos() as u64);
+    d.absorb_stats(&r.global);
+    for v in [r.control_packets, r.control_bytes, r.data_forwarded] {
+        d.absorb_u64(v);
+    }
+    for reason in DropCounts::ALL {
+        d.absorb_u64(r.drops.get(reason));
+    }
+    let nanos = |t: Option<u64>| t.unwrap_or(u64::MAX);
+    for sr in &r.senders {
+        let m = &sr.metrics;
+        for v in [
+            u64::from(sr.sender),
+            m.sent,
+            m.received,
+            m.duplicates,
+            m.bytes_sent,
+            m.bytes_received,
+            nanos(m.mean_delay.map(|x| x.as_nanos() as u64)),
+            nanos(m.max_delay.map(|x| x.as_nanos() as u64)),
+            nanos(m.first_sent.map(|x| x.as_nanos())),
+            nanos(m.last_received.map(|x| x.as_nanos())),
+        ] {
+            d.absorb_u64(v);
+        }
+        for &g in &sr.goodput_series {
+            d.absorb_f64(g);
+        }
+    }
+    check_golden(name, d.value(), engine.steps_done());
+}
+
+#[test]
+fn golden_fluid_table1_aodv() {
+    check_fluid_golden(
+        "fluid_table1_aodv",
+        &conformance_scenario(Protocol::Aodv, 1),
+    );
+}
+
+#[test]
+fn golden_fluid_table1_flooding() {
+    // The flood discipline: whole-component forwarding (cell BFS) and the
+    // per-cell link-neighbour cover.
+    check_fluid_golden(
+        "fluid_table1_flooding",
+        &conformance_scenario(Protocol::Flooding, 1),
+    );
+}
+
+#[test]
+fn golden_fluid_ring_2000_negative_coordinates() {
+    // 2,000 NaS vehicles on a 40 km ring, shifted so the ring is centred
+    // on the origin: the occupied cells span ~100 columns on both sides of
+    // zero, so binning floors negative coordinates and column runs start
+    // and end at negative indices.
+    let mut s = conformance_scenario(Protocol::Aodv, 5);
+    s.nodes = 2_000;
+    s.circuit_m = 40_000.0;
+    s.traffic.senders = (1..=8).collect();
+    let r = s.circuit_m / std::f64::consts::TAU;
+    let shifted = s
+        .build_trace()
+        .expect("NaS trace")
+        .iter()
+        .map(|(_, n)| {
+            let samples = n
+                .samples()
+                .iter()
+                .map(|x| TraceSample {
+                    position: Point2::new(x.position.x - r, x.position.y - r),
+                    ..*x
+                })
+                .collect();
+            NodeTrajectory::new(samples).expect("shift keeps sample order")
+        })
+        .collect();
+    s.mobility = MobilitySource::Trace(MobilityTrace::from_trajectories(shifted));
+    check_fluid_golden("fluid_ring2000_negative", &s);
 }
 
 #[test]
