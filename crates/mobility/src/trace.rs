@@ -88,11 +88,7 @@ impl NodeTrajectory {
         if t >= samples[samples.len() - 1].time {
             return Some(samples[samples.len() - 1].position);
         }
-        // Index of the last sample with time <= t.
-        let i = match samples.binary_search_by(|s| s.time.total_cmp(&t)) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
+        let i = self.segment_at(t);
         let a = &samples[i];
         let b = &samples[i + 1];
         if b.teleport {
@@ -103,6 +99,29 @@ impl NodeTrajectory {
             a.position.x + w * (b.position.x - a.position.x),
             a.position.y + w * (b.position.y - a.position.y),
         ))
+    }
+
+    /// Index of the last sample with time `<= t` (in `f64::total_cmp`
+    /// order), for `t` strictly inside the trajectory's time span.
+    ///
+    /// Traces are usually sampled at a fixed period, so the index is first
+    /// guessed from `t`'s fraction of the span and accepted only if that
+    /// sample and the next bracket `t` — exactly the index the binary
+    /// search would return; any other trajectory falls back to the search.
+    fn segment_at(&self, t: f64) -> usize {
+        let samples = &self.samples;
+        let n = samples.len();
+        let (t0, t1) = (samples[0].time, samples[n - 1].time);
+        let guess = (((t - t0) / (t1 - t0) * (n - 1) as f64) as usize).min(n - 2);
+        if samples[guess].time.total_cmp(&t).is_le()
+            && t.total_cmp(&samples[guess + 1].time).is_lt()
+        {
+            return guess;
+        }
+        match samples.binary_search_by(|s| s.time.total_cmp(&t)) {
+            Ok(i) => i,
+            Err(i) => i - 1,
+        }
     }
 
     /// Time-averaged speed over the whole trajectory (mean of samples).
@@ -342,6 +361,110 @@ impl TraceGenerator {
 mod tests {
     use super::*;
     use cavenet_ca::{Boundary, NasParams};
+    use proptest::prelude::*;
+
+    /// `position_at` as it was before the direct index: a binary search for
+    /// the segment on every call. The reference the direct index must
+    /// reproduce bit for bit.
+    fn position_by_search(samples: &[TraceSample], t: f64) -> Option<Point2> {
+        if samples.is_empty() {
+            return None;
+        }
+        if t <= samples[0].time {
+            return Some(samples[0].position);
+        }
+        if t >= samples[samples.len() - 1].time {
+            return Some(samples[samples.len() - 1].position);
+        }
+        let i = match samples.binary_search_by(|s| s.time.total_cmp(&t)) {
+            Ok(i) => i,
+            Err(i) => i - 1,
+        };
+        let a = &samples[i];
+        let b = &samples[i + 1];
+        if b.teleport {
+            return Some(a.position);
+        }
+        let w = (t - a.time) / (b.time - a.time);
+        Some(Point2::new(
+            a.position.x + w * (b.position.x - a.position.x),
+            a.position.y + w * (b.position.y - a.position.y),
+        ))
+    }
+
+    /// Sample times for one case: `mode` 0 uniform, 1 jittered around the
+    /// uniform grid, 2 uniform with some gaps shrunk to one ulp (times that
+    /// nearly repeat), 3 irregular gaps.
+    fn sample_times(mode: u8, n: usize, t0: f64, dt: f64, noise: &[f64]) -> Vec<f64> {
+        let mut times = Vec::with_capacity(n);
+        let mut t = t0;
+        for k in 0..n {
+            let r = noise[k % noise.len()];
+            let time = match mode {
+                0 => t0 + k as f64 * dt,
+                1 => t0 + (k as f64 + 0.9 * r - 0.45) * dt,
+                2 if k > 0 && r < 0.3 => times.last().map_or(t0, |&p: &f64| p.next_up()),
+                2 => t0 + k as f64 * dt,
+                _ => {
+                    t += dt * (0.01 + 3.0 * r);
+                    t
+                }
+            };
+            times.push(time);
+        }
+        times
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn direct_index_matches_the_binary_search(
+            mode in 0u8..4,
+            n in 1usize..120,
+            t0 in prop_oneof![Just(0.0f64), Just(-5.0), -1000.0f64..1000.0],
+            dt in prop_oneof![Just(1.0f64), Just(0.1), 0.001f64..10.0],
+            noise in prop::collection::vec(0.0f64..1.0, 1..50),
+            queries in prop::collection::vec(-0.2f64..1.2, 1..40),
+        ) {
+            let times = sample_times(mode, n, t0, dt, &noise);
+            let samples: Vec<TraceSample> = times
+                .iter()
+                .enumerate()
+                .map(|(k, &time)| {
+                    let r = noise[(k * 7 + 3) % noise.len()];
+                    TraceSample {
+                        time,
+                        position: Point2::new(1e4 * r - 5e3, time * 13.0 - r),
+                        speed: r,
+                        teleport: r < 0.15,
+                    }
+                })
+                .collect();
+            prop_assume!(times.windows(2).all(|w| w[0] < w[1]));
+            let tr = NodeTrajectory::new(samples).expect("strictly increasing times");
+            let (first, last) = (times[0], times[n - 1]);
+            let mut ts: Vec<f64> = queries
+                .iter()
+                .map(|&q| first + q * (last - first))
+                .collect();
+            // Exactly at every sample, and the same instant queried twice.
+            ts.extend(&times);
+            ts.extend(&times[..n.min(3)]);
+            // Both zeros: with `t0 = -5` a sample sits at `+0.0`, where
+            // `-0.0` orders below it in the search's total order.
+            ts.extend([first - 1.0, last + 1.0, f64::MIN, f64::MAX, 0.0, -0.0]);
+            for t in ts {
+                let got = tr.position_at(t).expect("non-empty");
+                let want = position_by_search(tr.samples(), t).expect("non-empty");
+                prop_assert_eq!(
+                    (got.x.to_bits(), got.y.to_bits()),
+                    (want.x.to_bits(), want.y.to_bits()),
+                    "t = {}", t
+                );
+            }
+        }
+    }
 
     fn sample(t: f64, x: f64, y: f64) -> TraceSample {
         TraceSample {
