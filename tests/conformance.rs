@@ -479,7 +479,8 @@ fn check_fluid_golden(name: &str, scenario: &Scenario) {
     for reason in DropCounts::ALL {
         d.absorb_u64(r.drops.get(reason));
     }
-    let nanos = |t: Option<u64>| t.unwrap_or(u64::MAX);
+    // An absent time folds as u64::MAX.
+    let nanos = |d: Option<Duration>| d.map_or(u64::MAX, |d| d.as_nanos() as u64);
     for sr in &r.senders {
         let m = &sr.metrics;
         for v in [
@@ -489,10 +490,10 @@ fn check_fluid_golden(name: &str, scenario: &Scenario) {
             m.duplicates,
             m.bytes_sent,
             m.bytes_received,
-            nanos(m.mean_delay.map(|x| x.as_nanos() as u64)),
-            nanos(m.max_delay.map(|x| x.as_nanos() as u64)),
-            nanos(m.first_sent.map(|x| x.as_nanos())),
-            nanos(m.last_received.map(|x| x.as_nanos())),
+            nanos(m.mean_delay),
+            nanos(m.max_delay),
+            m.first_sent.map_or(u64::MAX, |t| t.as_nanos()),
+            m.last_received.map_or(u64::MAX, |t| t.as_nanos()),
         ] {
             d.absorb_u64(v);
         }
