@@ -9,6 +9,7 @@
 use std::time::Duration;
 
 use cavenet_ca::FundamentalDiagram;
+use cavenet_core::checkpoint::Snapshot;
 use cavenet_core::mobility::{MobilityTrace, NodeTrajectory, Point2, TraceSample};
 use cavenet_core::{Experiment, Fidelity, MobilitySource, Protocol, Scenario};
 use cavenet_net::{DropCounts, FaultPlan, RecoveryMode, SimTime};
@@ -77,6 +78,65 @@ fn golden_table1_flooding() {
     check_scenario_golden(
         "table1_flooding",
         &conformance_scenario(Protocol::Flooding, 1),
+    );
+}
+
+// --- Golden digest: flooding at scale -------------------------------------
+
+/// The Table-1 ring scaled 10× (300 nodes on 30 km, the paper's density)
+/// under flooding, one CBR sender per four nodes from 1 s to the 3 s end.
+/// Every broadcast fans out to dozens of receivers, so hundreds of events
+/// share each ~1 ms calendar-queue day: this pins the scheduler's exact
+/// `(time, seq)` order where same-day ties are densest.
+fn ring_x10_flooding() -> Scenario {
+    let mut s = Scenario::paper_table1(Protocol::Flooding);
+    s.nodes *= 10;
+    s.circuit_m *= 10.0;
+    s.sim_time = Duration::from_secs(3);
+    s.traffic.senders = (1..s.nodes as u32).step_by(4).collect();
+    s.traffic.cbr.start = Duration::from_secs(1);
+    s.traffic.cbr.stop = s.sim_time;
+    s.seed = 7;
+    s
+}
+
+#[test]
+fn golden_ring_x10_flooding() {
+    check_scenario_golden("ring_x10_flooding", &ring_x10_flooding());
+}
+
+#[test]
+fn ring_x10_flooding_resumes_bit_identically() {
+    // Snapshot mid-traffic, when the future event queue is at its fullest,
+    // restore into a fresh simulator from the bytes alone and finish: the
+    // digest must equal the straight run's.
+    let s = ring_x10_flooding();
+    let exp = Experiment::new(s.clone());
+    let (mut sim, recorder) = exp.build_sim(GoldenDigest::new()).unwrap();
+    sim.run_until(SimTime::from_millis(1_750));
+    let bytes = exp.snapshot_now(&sim, &recorder).unwrap().to_bytes();
+    drop((sim, recorder));
+
+    let snap = Snapshot::from_bytes(&bytes).unwrap();
+    let (mut sim, _recorder, _meta) = exp
+        .resume_from_snapshot(GoldenDigest::new(), &snap)
+        .unwrap();
+    sim.run_until(SimTime::from_secs_f64(s.sim_time.as_secs_f64()));
+    let global = sim.global_stats();
+    let per_node: Vec<_> = (0..s.nodes)
+        .map(|i| (sim.node_stats(i), sim.mac_stats(i)))
+        .collect();
+    let mut resumed = sim.into_observer();
+    resumed.absorb_stats(&global);
+    for (i, (ns, ms)) in per_node.iter().enumerate() {
+        resumed.absorb_node(i, ns, ms);
+    }
+
+    let straight = digest_scenario(&s);
+    assert_eq!(
+        (resumed.value(), resumed.events()),
+        (straight.digest, straight.events),
+        "resumed 10x ring diverged from the straight run"
     );
 }
 
