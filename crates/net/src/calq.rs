@@ -1,28 +1,28 @@
-//! Slab-arena calendar queue: the engine's event scheduler.
+//! Calendar queue: the engine's event scheduler.
 //!
 //! A discrete-event simulator spends a large share of its time inserting and
-//! popping timestamped events. A binary heap does both in `O(log n)` with
-//! every sift moving whole entries around; a *calendar queue* (Brown 1988)
-//! exploits the fact that event times are dense and near-monotonic to make
-//! both operations amortized `O(1)`:
+//! popping timestamped events. Event times are dense and near-monotonic, so
+//! a *calendar queue* (Brown 1988) can defer almost all ordering work to the
+//! moment a short slice of time becomes current:
 //!
 //! * Time is partitioned into fixed-width **days** (`1 << DAY_SHIFT` ns,
 //!   ≈1.05 ms). The queue keeps a window of `nb` consecutive days (`nb` a
 //!   power of two), one unsorted bucket per day.
-//! * Events in the **current day** live in a small binary heap (`active`),
-//!   ordered by the full `(time, seq)` key — this is where exact tie-break
-//!   order is enforced, on a heap that holds only one day's worth of events.
-//! * Events in a **future in-window day** sit unsorted in that day's bucket;
-//!   sorting is deferred until the cursor reaches the day and the bucket is
-//!   drained into `active`.
-//! * Events **beyond the window** go to an overflow heap ordered by day,
-//!   promoted into buckets as the window advances.
+//! * When the cursor enters a day, that day's bucket becomes the **run**: it
+//!   is sorted once, descending by `(time, seq)`, and popped from the back.
+//! * Events inserted into a day at or before the cursor go to a small
+//!   **same-day heap**. `pop` takes the smaller of the run's tail and the
+//!   heap's top — an ordered batch merged with a heap, as in dslab's
+//!   `ordered_events` beside `events`.
+//! * Events in a **future in-window day** sit unsorted in that day's bucket.
+//! * Events **beyond the window** go to an overflow heap ordered by the full
+//!   key, promoted into buckets (or the run) as the window advances.
 //!
-//! Event payloads are stored once in a **slab arena** (`Vec<Slot<T>>` with a
-//! free list); buckets and heaps shuffle 4-byte slot ids instead of whole
-//! entries. Slot ids also give O(1) cancellation: [`CalendarQueue::cancel`]
-//! takes the payload out and leaves a tombstone that is reclaimed when its
-//! container reference surfaces.
+//! Entries are stored inline (`time`, `seq` and the payload together) in
+//! whichever container holds them. Day buffers are **recycled**: the run's
+//! emptied buffer goes to a spare list, and every push into a zero-capacity
+//! bucket or run draws from it, so the capacity the queue holds follows the
+//! number of days occupied at once, not the length of the window.
 //!
 //! # Ordering invariant
 //!
@@ -31,10 +31,11 @@
 //! the foundation of the repository's bit-identity guarantee: replacing the
 //! binary heap with this structure must not reorder any two events, and the
 //! property tests in this module verify that against a reference heap under
-//! random insert/cancel/pop interleavings.
+//! random insert/pop interleavings.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+use std::mem;
 
 use crate::time::SimTime;
 
@@ -51,26 +52,15 @@ fn day_of(time: SimTime) -> u64 {
     time.as_nanos() >> DAY_SHIFT
 }
 
-/// One arena slot. `value: None` marks a tombstone (cancelled or popped);
-/// the slot returns to the free list when the container holding its id
-/// encounters it.
+/// One pending event, stored inline.
 #[derive(Debug)]
-struct Slot<T> {
+struct Entry<T> {
     time: SimTime,
     seq: u64,
-    value: Option<T>,
+    value: T,
 }
 
-/// Reference to a slot, carrying its key so heap ordering never touches the
-/// arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EntryRef {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl EntryRef {
+impl<T> Entry<T> {
     /// The single source of truth for event ordering.
     #[inline]
     fn key(&self) -> (SimTime, u64) {
@@ -78,42 +68,64 @@ impl EntryRef {
     }
 }
 
-impl Ord for EntryRef {
+impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest key on top.
         other.key().cmp(&self.key())
     }
 }
 
-impl PartialOrd for EntryRef {
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// Calendar-queue priority queue over a slab arena, keyed by `(SimTime, seq)`.
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+/// Push `e` into `buf`, first swapping in a spare buffer if `buf` holds no
+/// allocation.
+#[inline]
+fn push_recycled<T>(buf: &mut Vec<Entry<T>>, spares: &mut Vec<Vec<Entry<T>>>, e: Entry<T>) {
+    if buf.capacity() == 0 {
+        if let Some(spare) = spares.pop() {
+            *buf = spare;
+        }
+    }
+    buf.push(e);
+}
+
+/// Calendar-queue priority queue keyed by `(SimTime, seq)`.
 ///
 /// See the module docs for the design; the API surface is what the engine
 /// kernel needs: [`insert`](Self::insert), [`pop`](Self::pop),
-/// [`min_key`](Self::min_key) (a normalizing peek),
-/// [`cancel`](Self::cancel), and [`sorted_entries`](Self::sorted_entries)
-/// for checkpoint capture.
+/// [`min_key`](Self::min_key) (a normalizing peek) and
+/// [`sorted_entries`](Self::sorted_entries) for checkpoint capture.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    slab: Vec<Slot<T>>,
-    free: Vec<u32>,
-    /// Entries whose day ≤ `cursor`, ordered by full key.
-    active: BinaryHeap<EntryRef>,
-    /// One unsorted bucket per in-window day; index = `day & mask`.
-    buckets: Vec<Vec<u32>>,
-    /// Number of slot ids currently sitting in `buckets`.
+    /// The cursor day's bucket, sorted descending by key: the next entry is
+    /// last.
+    run: Vec<Entry<T>>,
+    /// Entries inserted into a day ≤ `cursor` after its run was formed.
+    heap: BinaryHeap<Entry<T>>,
+    /// One unsorted bucket per in-window day; index = `day & mask`. An
+    /// empty bucket holds no allocation.
+    buckets: Vec<Vec<Entry<T>>>,
+    /// Number of entries currently sitting in `buckets`.
     in_buckets: usize,
-    /// Entries whose day ≥ `cursor + buckets.len()`, ordered by day.
-    overflow: BinaryHeap<Reverse<(u64, u32)>>,
-    /// The day `active` is currently collecting.
+    /// Entries whose day ≥ `cursor + buckets.len()`.
+    overflow: BinaryHeap<Entry<T>>,
+    /// Emptied day buffers, kept for the next bucket or run that needs one.
+    spares: Vec<Vec<Entry<T>>>,
+    /// The day `run` and `heap` belong to.
     cursor: u64,
     mask: u64,
-    /// Live (not cancelled, not popped) entries.
     len: usize,
 }
 
@@ -129,226 +141,189 @@ impl<T> CalendarQueue<T> {
         Self::with_capacity(0)
     }
 
-    /// An empty queue pre-sized for about `n` concurrently pending events:
-    /// the arena, the active heap and the bucket window are allocated up
-    /// front so the steady state does not grow them.
+    /// An empty queue whose bucket window is sized for about `n`
+    /// concurrently pending events, so the steady state does not grow it.
     pub fn with_capacity(n: usize) -> Self {
         let nb = (n / 2).next_power_of_two().clamp(16, MAX_BUCKETS);
         CalendarQueue {
-            slab: Vec::with_capacity(n),
-            free: Vec::new(),
-            active: BinaryHeap::with_capacity(64.min(n.max(16))),
+            run: Vec::new(),
+            heap: BinaryHeap::with_capacity(64.min(n.max(16))),
             buckets: (0..nb).map(|_| Vec::new()).collect(),
             in_buckets: 0,
             overflow: BinaryHeap::new(),
+            spares: Vec::new(),
             cursor: 0,
             mask: (nb - 1) as u64,
             len: 0,
         }
     }
 
-    /// Number of live entries.
+    /// Number of pending entries.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// True if no live entries remain.
+    /// True if no entries are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Insert `value` at key `(time, seq)` and return its slot id (usable
-    /// with [`cancel`](Self::cancel) until the entry is popped).
+    /// Insert `value` at key `(time, seq)`.
     ///
     /// Keys must be unique: `seq` is the caller's monotone event counter.
-    pub fn insert(&mut self, time: SimTime, seq: u64, value: T) -> u32 {
-        let slot = self.alloc(time, seq, value);
-        let day = day_of(time);
+    pub fn insert(&mut self, time: SimTime, seq: u64, value: T) {
         self.len += 1;
-        if day <= self.cursor {
-            self.active.push(EntryRef { time, seq, slot });
-        } else if day < self.cursor + self.buckets.len() as u64 {
-            self.buckets[(day & self.mask) as usize].push(slot);
-            self.in_buckets += 1;
-        } else {
-            self.overflow.push(Reverse((day, slot)));
-        }
+        self.place(Entry { time, seq, value });
         self.maybe_grow();
-        slot
-    }
-
-    /// Cancel the entry in `slot`, returning its payload if it was still
-    /// pending. O(1): the slot becomes a tombstone reclaimed lazily.
-    pub fn cancel(&mut self, slot: u32) -> Option<T> {
-        let value = self.slab.get_mut(slot as usize)?.value.take()?;
-        self.len -= 1;
-        Some(value)
     }
 
     /// The smallest pending `(time, seq)` key, or `None` when empty.
     ///
     /// Takes `&mut self` because peeking normalizes: the cursor advances
-    /// over empty days and tombstones are reclaimed until the true minimum
-    /// sits on top of the active heap.
+    /// over empty days until the minimum sits in the run or the heap.
     pub fn min_key(&mut self) -> Option<(SimTime, u64)> {
         self.normalize();
-        self.active.peek().map(EntryRef::key)
+        match (self.run.last(), self.heap.peek()) {
+            (Some(r), Some(h)) => Some(r.key().min(h.key())),
+            (r, h) => r.or(h).map(Entry::key),
+        }
     }
 
     /// Remove and return the entry with the smallest `(time, seq)` key.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         self.normalize();
-        let top = self.active.pop()?;
-        let cell = &mut self.slab[top.slot as usize];
-        let value = cell
-            .value
-            .take()
-            .expect("normalize leaves a live entry on top");
-        self.release(top.slot);
+        let from_run = match (self.run.last(), self.heap.peek()) {
+            (Some(r), Some(h)) => r.key() < h.key(),
+            (r, _) => r.is_some(),
+        };
+        let e = if from_run {
+            self.run.pop()
+        } else {
+            self.heap.pop()
+        }?;
         self.len -= 1;
-        Some((top.time, top.seq, value))
+        Some((e.time, e.seq, e.value))
     }
 
-    /// All live entries in ascending `(time, seq)` order. Used by checkpoint
-    /// capture, which needs a deterministic serialization order; O(n log n)
-    /// and allocation-heavy, so not for the hot path.
+    /// All pending entries in ascending `(time, seq)` order. Used by
+    /// checkpoint capture, which needs a deterministic serialization order;
+    /// O(n log n) and allocation-heavy, so not for the hot path.
     pub fn sorted_entries(&self) -> Vec<(SimTime, u64, &T)> {
         let mut out: Vec<(SimTime, u64, &T)> = self
-            .slab
+            .run
             .iter()
-            .filter_map(|s| s.value.as_ref().map(|v| (s.time, s.seq, v)))
+            .chain(self.heap.iter())
+            .chain(self.buckets.iter().flatten())
+            .chain(self.overflow.iter())
+            .map(|e| (e.time, e.seq, &e.value))
             .collect();
         out.sort_unstable_by_key(|&(t, q, _)| (t, q));
         out
     }
 
-    fn alloc(&mut self, time: SimTime, seq: u64, value: T) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            self.slab[slot as usize] = Slot {
-                time,
-                seq,
-                value: Some(value),
-            };
-            slot
+    /// File `e` by its day: the same-day heap, an in-window bucket, or the
+    /// overflow heap.
+    fn place(&mut self, e: Entry<T>) {
+        let day = day_of(e.time);
+        if day <= self.cursor {
+            self.heap.push(e);
+        } else if day < self.cursor + self.buckets.len() as u64 {
+            let bucket = &mut self.buckets[(day & self.mask) as usize];
+            push_recycled(bucket, &mut self.spares, e);
+            self.in_buckets += 1;
         } else {
-            assert!(self.slab.len() < u32::MAX as usize, "event arena overflow");
-            self.slab.push(Slot {
-                time,
-                seq,
-                value: Some(value),
-            });
-            (self.slab.len() - 1) as u32
+            self.overflow.push(e);
         }
     }
 
-    /// Return a slot whose container reference has been consumed to the
-    /// free list.
-    #[inline]
-    fn release(&mut self, slot: u32) {
-        self.free.push(slot);
+    /// Keep an emptied buffer for reuse if it holds an allocation.
+    fn recycle(&mut self, buf: Vec<Entry<T>>) {
+        debug_assert!(buf.is_empty());
+        if buf.capacity() > 0 {
+            self.spares.push(buf);
+        }
     }
 
-    /// Advance the cursor until the top of `active` is the live global
-    /// minimum (or the queue is exhausted), reclaiming tombstones on the way.
+    /// Advance the cursor until the run or the heap holds the global
+    /// minimum (or the queue is exhausted).
     fn normalize(&mut self) {
-        loop {
-            // Discard cancelled entries surfacing on the active heap.
-            while let Some(top) = self.active.peek() {
-                if self.slab[top.slot as usize].value.is_some() {
-                    return;
-                }
-                let slot = top.slot;
-                self.active.pop();
-                self.release(slot);
-            }
+        while self.run.is_empty() && self.heap.is_empty() {
             if self.in_buckets > 0 {
                 // Scan forward one day; `in_buckets > 0` bounds this loop to
                 // at most one full window sweep before an entry surfaces.
                 self.cursor += 1;
-                let idx = (self.cursor & self.mask) as usize;
-                while let Some(slot) = self.buckets[idx].pop() {
-                    self.in_buckets -= 1;
-                    let cell = &self.slab[slot as usize];
-                    if cell.value.is_some() {
-                        self.active.push(EntryRef {
-                            time: cell.time,
-                            seq: cell.seq,
-                            slot,
-                        });
-                    } else {
-                        self.release(slot);
-                    }
-                }
-                self.promote();
-            } else if let Some(&Reverse((day, _))) = self.overflow.peek() {
+            } else if let Some(first) = self.overflow.peek() {
                 // Window is empty: jump straight to the overflow's first day.
-                self.cursor = day;
-                self.promote();
+                self.cursor = day_of(first.time);
             } else {
                 return; // queue exhausted
             }
+            self.enter_day();
         }
     }
 
-    /// Move overflow entries whose day entered the window into buckets (or
-    /// straight into `active` for the cursor day).
+    /// Make the cursor day's bucket the run: swap it in, promote overflow
+    /// entries that entered the window, and sort it once.
+    fn enter_day(&mut self) {
+        let bucket = &mut self.buckets[(self.cursor & self.mask) as usize];
+        if !bucket.is_empty() {
+            self.in_buckets -= bucket.len();
+            let drained = mem::replace(&mut self.run, mem::take(bucket));
+            self.recycle(drained);
+        }
+        self.promote();
+        self.run.sort_unstable_by_key(|e| Reverse(e.key()));
+    }
+
+    /// Move overflow entries whose day entered the window into buckets, or
+    /// into the run for the cursor day.
     fn promote(&mut self) {
         let window_end = self.cursor + self.buckets.len() as u64;
-        while let Some(&Reverse((day, slot))) = self.overflow.peek() {
-            if day >= window_end {
-                break;
-            }
-            self.overflow.pop();
-            let cell = &self.slab[slot as usize];
-            if cell.value.is_none() {
-                self.release(slot);
-            } else if day <= self.cursor {
-                self.active.push(EntryRef {
-                    time: cell.time,
-                    seq: cell.seq,
-                    slot,
-                });
+        while self
+            .overflow
+            .peek()
+            .is_some_and(|e| day_of(e.time) < window_end)
+        {
+            let e = self.overflow.pop().expect("peeked");
+            if day_of(e.time) <= self.cursor {
+                push_recycled(&mut self.run, &mut self.spares, e);
             } else {
-                self.buckets[(day & self.mask) as usize].push(slot);
-                self.in_buckets += 1;
+                self.place(e);
             }
         }
     }
 
     /// Double the bucket window when occupancy exceeds 4 entries per bucket,
-    /// redistributing in-window and overflow ids by day. Rare (amortized by
-    /// the doubling), and order-neutral: placement is derived from keys only.
+    /// redistributing in-window and overflow entries by day. Rare (amortized
+    /// by the doubling), and order-neutral: placement is derived from keys
+    /// only.
     fn maybe_grow(&mut self) {
         if self.len <= self.buckets.len() * 4 || self.buckets.len() >= MAX_BUCKETS {
             return;
         }
         let nb = self.buckets.len() * 2;
-        let mut ids: Vec<u32> = self.buckets.iter_mut().flat_map(|b| b.drain(..)).collect();
-        ids.extend(self.overflow.drain().map(|Reverse((_, slot))| slot));
-        self.buckets = (0..nb).map(|_| Vec::new()).collect();
+        let old = mem::replace(&mut self.buckets, (0..nb).map(|_| Vec::new()).collect());
+        let overflow = mem::take(&mut self.overflow);
         self.mask = (nb - 1) as u64;
         self.in_buckets = 0;
-        let window_end = self.cursor + nb as u64;
-        for slot in ids {
-            let cell = &self.slab[slot as usize];
-            if cell.value.is_none() {
-                self.release(slot);
-                continue;
+        for mut bucket in old {
+            for e in bucket.drain(..) {
+                self.place(e);
             }
-            let day = day_of(cell.time);
-            if day <= self.cursor {
-                self.active.push(EntryRef {
-                    time: cell.time,
-                    seq: cell.seq,
-                    slot,
-                });
-            } else if day < window_end {
-                self.buckets[(day & self.mask) as usize].push(slot);
-                self.in_buckets += 1;
-            } else {
-                self.overflow.push(Reverse((day, slot)));
-            }
+            self.recycle(bucket);
         }
+        for e in overflow {
+            self.place(e);
+        }
+    }
+
+    /// Capacity (in entries) held by the run, the buckets and the spares.
+    #[cfg(test)]
+    fn held_capacity(&self) -> usize {
+        let buffers = std::iter::once(&self.run)
+            .chain(&self.buckets)
+            .chain(&self.spares);
+        buffers.map(Vec::capacity).sum()
     }
 }
 
@@ -356,6 +331,7 @@ impl<T> CalendarQueue<T> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -379,19 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_entry_and_reclaims_slot() {
-        let mut q = CalendarQueue::new();
-        let a = q.insert(t(100), 1, 10u32);
-        let b = q.insert(t(200), 2, 20u32);
-        assert_eq!(q.cancel(a), Some(10));
-        assert_eq!(q.cancel(a), None, "double cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((t(200), 2, 20)));
-        assert_eq!(q.cancel(b), None, "popped entries cannot be cancelled");
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn interleaved_inserts_during_pops_stay_ordered() {
         let mut q = CalendarQueue::new();
         q.insert(t(1 << 21), 1, 1u64);
@@ -408,15 +371,26 @@ mod tests {
     fn sorted_entries_lists_live_entries_ascending() {
         let mut q = CalendarQueue::new();
         q.insert(t(30), 3, "z");
-        let dead = q.insert(t(10), 1, "dead");
+        q.insert(t(10), 1, "x");
         q.insert(t(20), 2, "y");
-        q.cancel(dead);
+        q.insert(t(40 << DAY_SHIFT), 4, "far");
+        assert_eq!(q.pop(), Some((t(10), 1, "x")));
+        // "y" and "z" now sit in the run; "w" lands in the same-day heap.
+        q.insert(t(25), 5, "w");
         let entries: Vec<(u64, u64, &&str)> = q
             .sorted_entries()
             .into_iter()
             .map(|(time, seq, v)| (time.as_nanos(), seq, v))
             .collect();
-        assert_eq!(entries, vec![(20, 2, &"y"), (30, 3, &"z")]);
+        assert_eq!(
+            entries,
+            vec![
+                (20, 2, &"y"),
+                (25, 5, &"w"),
+                (30, 3, &"z"),
+                (40 << DAY_SHIFT, 4, &"far")
+            ]
+        );
     }
 
     #[test]
@@ -446,158 +420,131 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_overflow_entries_vanish_across_day_rollover() {
-        // Regression for the overflow tombstone path: entries cancelled
-        // while sitting in the overflow heap must be reclaimed — not
-        // surfaced — when a pop crosses the day boundary and the cursor
-        // jumps to their day. Day 100 below becomes *all* tombstones, so
-        // normalization has to roll straight through it.
-        let day = |d: u64, k: u64| t((d << DAY_SHIFT) + k);
-        let mut q = CalendarQueue::new(); // 16-day window
-        q.insert(day(0, 5), 1, 1u32);
-        let dead_head = q.insert(day(100, 0), 2, 2u32);
-        let dead_mid = q.insert(day(100, 7), 3, 3u32);
-        q.insert(day(101, 3), 4, 4u32);
-        let dead_tail = q.insert(day(120, 0), 5, 5u32);
-        q.insert(day(120, 9), 6, 6u32);
-        assert_eq!(q.cancel(dead_head), Some(2));
-        assert_eq!(q.cancel(dead_mid), Some(3));
-        assert_eq!(q.cancel(dead_tail), Some(5));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some((day(0, 5), 1, 1)));
-        // Crosses day 0 → 100 (tombstones only) → 101 in one normalize.
-        assert_eq!(q.pop(), Some((day(101, 3), 4, 4)));
-        // Day 120's head is a tombstone promoted on the second jump.
-        assert_eq!(q.pop(), Some((day(120, 9), 6, 6)));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancellation_after_promotion_is_reclaimed_in_the_drain() {
-        // The complementary rollover case: an overflow entry is promoted
-        // (still live) by a cursor jump, and only *then* cancelled — the
-        // tombstone now sits in the active heap / a bucket and must be
-        // reclaimed by the drain instead of the overflow path.
-        let day = |d: u64, k: u64| t((d << DAY_SHIFT) + k);
+    fn day_buffers_stay_bounded_across_overflow_jumps() {
+        // A long sparse stream: at most five entries pending at once, each
+        // inserted 20–69 days ahead, beyond the 16-day window, so it enters
+        // through the overflow heap and most days are reached by a jump.
+        // Buffers must be recycled through the spare list — including the
+        // run's, when promotion fills it — so the capacity held stays tied
+        // to peak occupancy instead of growing with every jump.
         let mut q = CalendarQueue::new();
-        q.insert(day(0, 1), 1, 1u32);
-        let far = q.insert(day(30, 0), 2, 2u32);
-        q.insert(day(31, 0), 3, 3u32);
-        assert_eq!(q.pop(), Some((day(0, 1), 1, 1)));
-        // Normalizing peek jumps the cursor to day 30, promoting `far`
-        // into the active heap and day 31 into a bucket.
-        assert_eq!(q.min_key(), Some((day(30, 0), 2)));
-        assert_eq!(q.cancel(far), Some(2));
-        assert_eq!(q.pop(), Some((day(31, 0), 3, 3)));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
+        let mut now = 0u64;
+        let mut seq = 0u64;
+        let mut peak = 0;
+        for i in 0..5_000u64 {
+            for k in 0..(1 + i % 3) {
+                seq += 1;
+                let day = day_of(t(now)) + 20 + (i + k) % 50;
+                q.insert(t((day << DAY_SHIFT) + k), seq, seq);
+            }
+            peak = peak.max(q.len());
+            while q.len() > 2 {
+                now = q.pop().expect("non-empty").0.as_nanos();
+            }
+        }
+        assert_eq!(peak, 5);
+        // No day here holds more than four entries, the room a buffer's
+        // first push allocates; one buffer per pending entry, plus the run,
+        // is the most the stream can need at once.
+        assert!(
+            q.held_capacity() <= 4 * (peak + 1),
+            "held capacity {} for a peak of {peak} pending entries",
+            q.held_capacity()
+        );
     }
 
-    /// The heart of the bit-identity argument: against a reference binary
-    /// heap, random interleavings of insert/cancel/pop dequeue in exactly
-    /// the same `(time, seq)` order.
+    /// The heart of the bit-identity argument: against a reference ordered
+    /// set, random interleavings of insert/pop dequeue in exactly the same
+    /// `(time, seq)` order, and `sorted_entries` lists the same entries.
     #[derive(Debug, Clone, Copy)]
     enum Op {
         /// Insert at `now + dt` ns (dt spans in-window and overflow days).
         Insert(u64),
-        /// Cancel the k-th oldest still-pending insert, if any.
-        Cancel(usize),
-        /// Pop the minimum from both and compare.
-        Pop,
+        /// Insert `n` entries into the day `d` days after `now`'s (from
+        /// `now` on when `d == 0`), many of them sharing a time.
+        Burst(usize, u64),
+        /// Pop `n` entries in a row, comparing each with the reference.
+        Pop(usize),
+        /// Compare `sorted_entries` with the reference's pending entries.
+        Snapshot,
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
+            // At `now` or within its day or the next: lands in the same-day
+            // heap while a sorted run is being drained, or in the next run.
+            Just(Op::Insert(0)),
+            (0u64..(1u64 << DAY_SHIFT)).prop_map(Op::Insert),
             (0u64..(1u64 << 24)).prop_map(Op::Insert),
             // Far inserts: 16 .. 4096 days out — beyond the bucket window
-            // even after growth, so they live in the overflow heap. Their
-            // cancellations leave tombstones that must be reclaimed as day
-            // rollovers promote them (the gap the pure in-window strategy
-            // left: overflow cancels crossing a day boundary).
+            // even after growth, so they live in the overflow heap and are
+            // reached by jumps over empty days.
             ((1u64 << 24)..(1u64 << 32)).prop_map(Op::Insert),
-            (0usize..32).prop_map(Op::Cancel),
-            Just(Op::Pop),
-            Just(Op::Pop),
+            (1usize..300, 0u64..3).prop_map(|(n, d)| Op::Burst(n, d)),
+            Just(Op::Pop(1)),
+            Just(Op::Pop(1)),
+            (1usize..400).prop_map(Op::Pop),
+            Just(Op::Snapshot),
         ]
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
         #[test]
         fn matches_reference_heap(ops in prop::collection::vec(op_strategy(), 1..200)) {
             let mut calq = CalendarQueue::new();
-            let mut reference: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-            let mut values: std::collections::HashMap<(u64, u64), u64> =
-                std::collections::HashMap::new();
-            // (key, slot) of still-pending inserts, oldest first.
-            let mut pending: Vec<((SimTime, u64), u32)> = Vec::new();
+            let mut reference: BTreeSet<(SimTime, u64)> = BTreeSet::new();
             let mut now = 0u64;
             let mut seq = 0u64;
             for op in ops {
+                let mut times = Vec::new();
                 match op {
-                    Op::Insert(dt) => {
-                        seq += 1;
-                        let time = t(now + dt);
-                        let slot = calq.insert(time, seq, seq * 7);
-                        reference.push(Reverse((time, seq)));
-                        values.insert((time.as_nanos(), seq), seq * 7);
-                        pending.push(((time, seq), slot));
+                    Op::Insert(dt) => times.push(now + dt),
+                    Op::Burst(n, d) => {
+                        let day_start = (day_of(t(now)) + d) << DAY_SHIFT;
+                        let from = now.max(day_start);
+                        let span = day_start + (1 << DAY_SHIFT) - from;
+                        // 97 distinct offsets: bursts past 97 repeat times,
+                        // so ties fall back to `seq`.
+                        let offsets = (0..n as u64).map(|k| (k * 7_919 % 97) * span / 97);
+                        times.extend(offsets.map(|dt| from + dt));
                     }
-                    Op::Cancel(k) => {
-                        if pending.is_empty() {
-                            continue;
-                        }
-                        let (key, slot) = pending.remove(k % pending.len());
-                        let cancelled = calq.cancel(slot);
-                        prop_assert_eq!(
-                            cancelled,
-                            values.remove(&(key.0.as_nanos(), key.1))
-                        );
-                        // The reference heap has no cancel; drop the key from
-                        // `values` and skip it when it surfaces.
-                    }
-                    Op::Pop => {
-                        // Drain cancelled keys off the reference top.
-                        let live = loop {
-                            match reference.peek() {
-                                Some(&Reverse((rt, rs)))
-                                    if !values.contains_key(&(rt.as_nanos(), rs)) =>
-                                {
-                                    reference.pop();
-                                }
-                                other => break other.map(|&Reverse(k)| k),
-                            }
-                        };
-                        prop_assert_eq!(calq.min_key(), live);
-                        let got = calq.pop();
-                        match live {
-                            None => prop_assert!(got.is_none()),
-                            Some((rt, rs)) => {
-                                reference.pop();
-                                let expected = values.remove(&(rt.as_nanos(), rs));
-                                prop_assert_eq!(got.map(|(gt, gs, gv)| {
-                                    prop_assert_eq!((gt, gs), (rt, rs));
-                                    Ok(gv)
-                                }).transpose()?, expected);
-                                pending.retain(|&(key, _)| key != (rt, rs));
-                                now = rt.as_nanos();
+                    Op::Pop(n) => {
+                        for _ in 0..n {
+                            let want = reference.pop_first();
+                            prop_assert_eq!(calq.min_key(), want);
+                            let got = calq.pop();
+                            prop_assert_eq!(got, want.map(|(wt, ws)| (wt, ws, ws * 7)));
+                            match want {
+                                Some((wt, _)) => now = wt.as_nanos(),
+                                None => break,
                             }
                         }
+                    }
+                    Op::Snapshot => {
+                        let got: Vec<(SimTime, u64, u64)> = calq
+                            .sorted_entries()
+                            .into_iter()
+                            .map(|(time, s, &v)| (time, s, v))
+                            .collect();
+                        let want: Vec<(SimTime, u64, u64)> =
+                            reference.iter().map(|&(time, s)| (time, s, s * 7)).collect();
+                        prop_assert_eq!(got, want);
                     }
                 }
+                for time in times {
+                    seq += 1;
+                    calq.insert(t(time), seq, seq * 7);
+                    reference.insert((t(time), seq));
+                }
+                prop_assert_eq!(calq.len(), reference.len());
             }
             // Drain both to empty; remaining orders must agree too.
             while let Some((gt, gs, _)) = calq.pop() {
-                let live = loop {
-                    let Some(&Reverse((rt, rs))) = reference.peek() else { break None };
-                    reference.pop();
-                    if values.remove(&(rt.as_nanos(), rs)).is_some() {
-                        break Some((rt, rs));
-                    }
-                };
-                prop_assert_eq!(Some((gt, gs)), live);
+                prop_assert_eq!(Some((gt, gs)), reference.pop_first());
             }
-            prop_assert!(values.is_empty());
+            prop_assert!(reference.is_empty());
         }
     }
 }

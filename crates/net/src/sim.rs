@@ -511,8 +511,8 @@ impl<O: SimObserver> SimulatorBuilder<O> {
                 now: SimTime::ZERO,
                 // Pre-sized from the node count: the pending-event population
                 // scales with nodes (per-node MAC timers plus in-flight
-                // frames × receivers), so the arena and bucket window reach
-                // steady state without growing.
+                // frames × receivers), so the bucket window reaches steady
+                // state without growing.
                 queue: CalendarQueue::with_capacity(self.nodes * 8),
                 seq: 0,
                 rng: SimRng::seed_from_u64(self.seed),
