@@ -1,5 +1,6 @@
 //! Differential equivalence: two configurations, one behaviour.
 
+use cavenet_core::net::Simulator;
 use cavenet_core::{scenario_identity, Experiment, ExperimentResult, Fidelity, Scenario};
 
 use crate::GoldenDigest;
@@ -25,8 +26,20 @@ pub fn digest_scenario(scenario: &Scenario) -> RunDigest {
     let (result, sim) = Experiment::new(scenario.clone())
         .run_with_observer(GoldenDigest::new())
         .expect("scenario must run");
+    let (digest, events) = finish_digest(sim, scenario.nodes);
+    RunDigest {
+        digest,
+        events,
+        result,
+    }
+}
+
+/// Fold the final global and per-node statistics of a finished `sim` of
+/// `nodes` nodes into its [`GoldenDigest`], exactly as [`digest_scenario`]
+/// does, and return `(digest, events)`.
+pub fn finish_digest(sim: Simulator<GoldenDigest>, nodes: usize) -> (u64, u64) {
     let global = sim.global_stats();
-    let per_node: Vec<_> = (0..scenario.nodes)
+    let per_node: Vec<_> = (0..nodes)
         .map(|i| (sim.node_stats(i), sim.mac_stats(i)))
         .collect();
     let mut digest = sim.into_observer();
@@ -34,11 +47,7 @@ pub fn digest_scenario(scenario: &Scenario) -> RunDigest {
     for (i, (ns, ms)) in per_node.iter().enumerate() {
         digest.absorb_node(i, ns, ms);
     }
-    RunDigest {
-        digest: digest.value(),
-        events: digest.events(),
-        result,
-    }
+    (digest.value(), digest.events())
 }
 
 /// Assert that one scenario behaves **bit-identically** under two

@@ -15,7 +15,7 @@ use cavenet_core::{Experiment, Fidelity, MobilitySource, Protocol, Scenario};
 use cavenet_net::{DropCounts, FaultPlan, RecoveryMode, SimTime};
 use cavenet_stats::Ensemble;
 use cavenet_testkit::{
-    assert_equiv, check_golden, digest_scenario, GoldenDigest, InvariantChecker, Tee,
+    assert_equiv, check_golden, digest_scenario, finish_digest, GoldenDigest, InvariantChecker, Tee,
 };
 use proptest::prelude::*;
 
@@ -122,19 +122,10 @@ fn ring_x10_flooding_resumes_bit_identically() {
         .resume_from_snapshot(GoldenDigest::new(), &snap)
         .unwrap();
     sim.run_until(SimTime::from_secs_f64(s.sim_time.as_secs_f64()));
-    let global = sim.global_stats();
-    let per_node: Vec<_> = (0..s.nodes)
-        .map(|i| (sim.node_stats(i), sim.mac_stats(i)))
-        .collect();
-    let mut resumed = sim.into_observer();
-    resumed.absorb_stats(&global);
-    for (i, (ns, ms)) in per_node.iter().enumerate() {
-        resumed.absorb_node(i, ns, ms);
-    }
 
     let straight = digest_scenario(&s);
     assert_eq!(
-        (resumed.value(), resumed.events()),
+        finish_digest(sim, s.nodes),
         (straight.digest, straight.events),
         "resumed 10x ring diverged from the straight run"
     );
