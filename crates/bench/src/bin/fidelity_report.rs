@@ -13,8 +13,8 @@
 //!    envelope**, stamped into the manifest next to `backend: "fluid"`.
 //!    The churn class intentionally includes a fault plan the fluid
 //!    model does not simulate, so its error bounds that abstraction gap.
-//! 2. **Speedup sweep** — the saturated jam ring from `scale_report`
-//!    (2 m headway, flooded CBR packet) at increasing node counts. The
+//! 2. **Speedup sweep** — a saturated jam ring (2 m headway, one
+//!    flooded CBR packet) at increasing node counts. The
 //!    fluid model works at grid-cell granularity, so its wall time is
 //!    near-independent of density; the 10 k-node point is the gate the
 //!    ISSUE targets at ≥ 100×.
@@ -37,8 +37,7 @@ use cavenet_telemetry::{fnv64, json, ErrorEnvelope, Json, RunManifest};
 
 const REPORT_PATH: &str = "benchmarks/BENCH_fluid.json";
 
-/// Jam-ring constants — identical to `scale_report` so the exact-engine
-/// wall times are comparable across the two artifacts.
+/// Jam-ring constants.
 const HEADWAY_M: f64 = 2.0;
 const CREEP_MPS: f64 = 3.0;
 const JAM_SIM_SECS: u64 = 4;
@@ -94,7 +93,7 @@ fn accuracy_classes() -> Vec<(&'static str, Scenario)> {
     classes
 }
 
-/// A saturated jam ring (same trace as `scale_report`).
+/// A saturated jam ring: vehicles 2 m apart, all creeping at 3 m/s.
 fn jam_trace(nodes: usize) -> MobilityTrace {
     let circuit = nodes as f64 * HEADWAY_M;
     let geometry = LaneGeometry::ring_circle(circuit);

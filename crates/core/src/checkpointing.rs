@@ -125,31 +125,22 @@ pub struct CheckpointPlan {
     pub dir: PathBuf,
 }
 
-/// The snapshot identity of a scenario: scenario hash (over its canonical
+/// The snapshot identity of a scenario: scenario hash (over its
 /// `Debug` rendering, the same idiom run manifests use), fault-plan hash
 /// (over [`FaultPlan::render`](cavenet_net::FaultPlan::render), 0 when
 /// unfaulted), seed and node count.
 ///
-/// Execution-layout knobs that provably do not affect results are
-/// normalized to their defaults before hashing — today that is
-/// `Scenario::shards` (any shard count is bit-identical, DESIGN.md §14).
-/// This is what lets a snapshot taken under N shards resume under M: the
-/// two scenarios share one identity.
-///
-/// `Scenario::fidelity` is **not** normalized: the exact and fluid
-/// backends produce different results, so the two fidelities of one
-/// scenario have distinct identities and a snapshot taken under one
-/// refuses to resume under the other.
+/// The hash covers every field of the scenario. In particular the exact
+/// and fluid fidelities of one scenario have distinct identities, and a
+/// snapshot taken under one refuses to resume under the other.
 pub fn scenario_identity(s: &Scenario) -> SnapshotMeta {
     let fault_plan_hash = if s.fault_plan.is_empty() {
         0
     } else {
         fnv64(s.fault_plan.render().as_bytes())
     };
-    let mut canonical = s.clone();
-    canonical.shards = 1;
     SnapshotMeta {
-        scenario_hash: fnv64(format!("{canonical:?}").as_bytes()),
+        scenario_hash: fnv64(format!("{s:?}").as_bytes()),
         fault_plan_hash,
         seed: s.seed,
         nodes: s.nodes as u64,

@@ -239,7 +239,6 @@ impl Experiment {
             .seed(s.seed)
             .mobility(Box::new(mobility))
             .neighbor_grid(s.neighbor_grid)
-            .shards(s.shards)
             .fault_plan(s.fault_plan.clone())
             .routing_with(move |_| protocol.instantiate());
         for &sender in &s.traffic.senders {
@@ -358,7 +357,6 @@ impl Experiment {
             control_pps_per_node,
             control_payload_bytes,
             flows,
-            shards: s.shards as u32,
         };
         FluidEngine::new(cfg, trace).map_err(ScenarioError::Fluid)
     }

@@ -111,21 +111,13 @@ pub struct Scenario {
     /// default empty plan leaves the simulation untouched — results are
     /// bit-identical to a scenario without the field.
     pub fault_plan: FaultPlan,
-    /// Spatial shards for intra-trial parallelism (default: 1, serial).
-    ///
-    /// An *execution* knob, not a behaviour knob: any value produces
-    /// bit-identical results (see
-    /// [`SimulatorBuilder::shards`](cavenet_net::SimulatorBuilder::shards)),
-    /// which is why it is excluded from checkpoint/run identity — a
-    /// snapshot taken under N shards resumes under M.
-    pub shards: usize,
     /// Model backend fidelity (default: [`Fidelity::Exact`], the per-frame
     /// DCF engine). [`Fidelity::Fluid`] selects the flow-level analytic
     /// backend (`cavenet-fluid`): 100–1000x faster, approximate, still
     /// deterministic.
     ///
-    /// A *behaviour* knob, unlike `shards`: results differ between
-    /// fidelities, so it participates in checkpoint/run identity — a
+    /// Results differ between fidelities, so it participates in
+    /// checkpoint/run identity — a
     /// snapshot taken under one fidelity refuses to resume under the other.
     pub fidelity: Fidelity,
     /// Master random seed.
@@ -155,7 +147,6 @@ impl Scenario {
             neighbor_grid: true,
             mobility_quantum: None,
             fault_plan: FaultPlan::default(),
-            shards: 1,
             fidelity: Fidelity::Exact,
             seed: 1,
         }
@@ -259,9 +250,6 @@ impl Scenario {
     /// unknown node, recovers a node that is not down, or has overlapping
     /// or inverted loss windows.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        if self.shards == 0 {
-            return Err(ScenarioError::BadShards);
-        }
         let n = self.nodes as u32;
         if self.traffic.receiver >= n {
             return Err(ScenarioError::BadTraffic {
@@ -293,8 +281,6 @@ pub enum ScenarioError {
         /// The offending node id.
         node: u32,
     },
-    /// `shards` is zero (the serial engine is `shards = 1`).
-    BadShards,
     /// The fluid backend rejected the scenario (empty, bad flow endpoint).
     Fluid(cavenet_fluid::FluidError),
     /// An entry point restricted to one fidelity was called under the
@@ -322,9 +308,6 @@ impl fmt::Display for ScenarioError {
                 )
             }
             ScenarioError::Fault(e) => write!(f, "fault plan error: {e}"),
-            ScenarioError::BadShards => {
-                write!(f, "shards must be at least 1 (1 = serial engine)")
-            }
             ScenarioError::Fluid(e) => write!(f, "fluid backend error: {e}"),
             ScenarioError::WrongFidelity { expected } => {
                 write!(f, "entry point requires the {} fidelity", expected.name())
@@ -339,7 +322,6 @@ impl Error for ScenarioError {
             ScenarioError::Mobility(e) => Some(e),
             ScenarioError::Trace(e) => Some(e),
             ScenarioError::BadTraffic { .. } => None,
-            ScenarioError::BadShards => None,
             ScenarioError::Fault(e) => Some(e),
             ScenarioError::Fluid(e) => Some(e),
             ScenarioError::WrongFidelity { .. } => None,
@@ -429,16 +411,6 @@ mod tests {
                 ..
             }))
         ));
-    }
-
-    #[test]
-    fn validation_rejects_zero_shards() {
-        let mut s = Scenario::paper_table1(Protocol::Aodv);
-        assert_eq!(s.shards, 1, "serial by default");
-        s.shards = 0;
-        assert!(matches!(s.validate(), Err(ScenarioError::BadShards)));
-        s.shards = 4;
-        assert!(s.validate().is_ok());
     }
 
     #[test]

@@ -353,8 +353,8 @@ impl FluidEngine {
             }
         }
 
-        // 6. Utilization field (the only fanned-out computation).
-        field.integrate(self.cfg.shards);
+        // 6. Utilization field.
+        field.integrate();
 
         // 7. Close each flow analytically.
         let mut step_digest: Vec<(u64, u64, u64)> = Vec::with_capacity(self.flows.len());
@@ -460,9 +460,8 @@ impl FluidEngine {
         self.step += 1;
     }
 
-    /// A fingerprint of everything that shapes results (not `shards`,
-    /// which is an execution knob); captured into snapshots so a fluid
-    /// state never restores into a different model.
+    /// A fingerprint of everything that shapes results; captured into
+    /// snapshots so a fluid state never restores into a different model.
     pub fn config_fingerprint(&self) -> u64 {
         let c = &self.cfg;
         let mut s = format!(
@@ -794,9 +793,9 @@ mod tests {
     }
 
     #[test]
-    fn runs_are_bit_identical_and_shard_invariant() {
-        let mk = |shards| {
-            let (mut cfg, trace) = line_cfg(
+    fn runs_are_bit_identical() {
+        let mk = || {
+            let (cfg, trace) = line_cfg(
                 40,
                 150.0,
                 vec![
@@ -812,17 +811,13 @@ mod tests {
                     },
                 ],
             );
-            cfg.shards = shards;
             let mut e = FluidEngine::new(cfg, trace).expect("valid");
             e.run_to_end();
             e
         };
-        let a = mk(1);
-        let b = mk(1);
-        let c = mk(4);
+        let (a, b) = (mk(), mk());
         assert_eq!(a.digest(), b.digest(), "reruns must be bit-identical");
-        assert_eq!(a.digest(), c.digest(), "shards must not change results");
-        assert_eq!(a.report(), c.report());
+        assert_eq!(a.report(), b.report());
     }
 
     #[test]

@@ -25,9 +25,7 @@
 //!
 //! Determinism: cells are indexed in sorted coordinate order, BFS expands
 //! neighbors in a fixed offset order, and the utilization sum runs in a
-//! fixed sequence per cell (offsets by ascending `dx`, then `dy`)
-//! regardless of how many worker shards computed it — so shard count
-//! never changes a bit of output.
+//! fixed sequence per cell (offsets by ascending `dx`, then `dy`).
 
 use std::ops::Range;
 
@@ -176,72 +174,37 @@ impl Field {
             .filter(move |&nb| nb != c)
     }
 
-    /// Utilization of the range `[lo, hi)` of cell indices: for each cell,
-    /// the sum of `load` over its contention neighborhood. Pure — writes
-    /// only into `out` (same length as the range), reads only `load`.
-    fn integrate_range(&self, lo: usize, hi: usize, out: &mut [f64]) {
-        let Some(&(x0, _)) = self.coords.get(lo) else {
-            return;
-        };
-        // One column cursor per span. Cells run in ascending `ix`, so the
-        // first column at or past `ix + dx` only ever moves forward.
-        let mut cursors: Vec<usize> = self
-            .contention_spans
-            .iter()
-            .map(|&(dx, _, _)| self.cols.partition_point(|col| col.0 < x0 + dx))
-            .collect();
-        for (slot, c) in (lo..hi).enumerate() {
-            let (ix, iy) = self.coords[c];
-            let mut u = 0.0;
-            for (&(dx, dy_lo, dy_hi), k) in self.contention_spans.iter().zip(&mut cursors) {
-                while self.cols.get(*k).is_some_and(|col| col.0 < ix + dx) {
-                    *k += 1;
-                }
-                match self.cols.get(*k) {
-                    Some(&col) if col.0 == ix + dx => {
-                        for n in self.rows(col, iy + dy_lo, iy + dy_hi) {
-                            u += self.load[n as usize];
-                        }
+    /// Fill [`Field::util`] from [`Field::load`]: for each cell, the sum
+    /// of `load` over its contention neighborhood.
+    pub fn integrate(&mut self) {
+        let mut util = Vec::with_capacity(self.len());
+        if let Some(&(x0, _)) = self.coords.first() {
+            // One column cursor per span. Cells run in ascending `ix`, so
+            // the first column at or past `ix + dx` only ever moves forward.
+            let mut cursors: Vec<usize> = self
+                .contention_spans
+                .iter()
+                .map(|&(dx, _, _)| self.cols.partition_point(|col| col.0 < x0 + dx))
+                .collect();
+            for &(ix, iy) in &self.coords {
+                let mut u = 0.0;
+                for (&(dx, dy_lo, dy_hi), k) in self.contention_spans.iter().zip(&mut cursors) {
+                    while self.cols.get(*k).is_some_and(|col| col.0 < ix + dx) {
+                        *k += 1;
                     }
-                    _ => {}
+                    match self.cols.get(*k) {
+                        Some(&col) if col.0 == ix + dx => {
+                            for n in self.rows(col, iy + dy_lo, iy + dy_hi) {
+                                u += self.load[n as usize];
+                            }
+                        }
+                        _ => {}
+                    }
                 }
+                util.push(u);
             }
-            out[slot] = u;
         }
-    }
-
-    /// Fill [`Field::util`] from [`Field::load`], fanning the pure per-cell
-    /// integral over `shards` workers. The per-cell arithmetic is identical
-    /// for every shard count — this is an execution knob, mirroring the
-    /// exact engine's spatial sharding contract.
-    pub fn integrate(&mut self, shards: u32) {
-        let n = self.len();
-        let shards = (shards.max(1) as usize).min(n.max(1));
-        if shards <= 1 || n < 64 {
-            let mut out = vec![0.0; n];
-            self.integrate_range(0, n, &mut out);
-            self.util = out;
-            return;
-        }
-        let chunk = n.div_ceil(shards);
-        let mut out = vec![0.0; n];
-        std::thread::scope(|scope| {
-            let field = &*self;
-            let mut rest = out.as_mut_slice();
-            let mut lo = 0;
-            let mut handles = Vec::with_capacity(shards);
-            while lo < n {
-                let hi = (lo + chunk).min(n);
-                let (mine, tail) = rest.split_at_mut(hi - lo);
-                rest = tail;
-                handles.push(scope.spawn(move || field.integrate_range(lo, hi, mine)));
-                lo = hi;
-            }
-            for h in handles {
-                h.join().expect("fluid shard worker panicked");
-            }
-        });
-        self.util = out;
+        self.util = util;
     }
 
     /// Sum of `deposits` (`(cell, offered-airtime)` pairs) whose cell lies
@@ -506,10 +469,8 @@ mod tests {
                 *l = if c % 3 == 2 { 0.0 } else { loads[c % loads.len()] };
             }
             let expected = bits(&oracle.integrate(&field.load));
-            for shards in 1..=8 {
-                field.integrate(shards);
-                prop_assert_eq!(bits(&field.util), expected.clone(), "shards = {}", shards);
-            }
+            field.integrate();
+            prop_assert_eq!(bits(&field.util), expected);
 
             for c in 0..n {
                 prop_assert_eq!(field.neighbors(c).collect::<Vec<_>>(), oracle.neighbors(c));
@@ -583,19 +544,5 @@ mod tests {
         let f = Field::bin(&pts, 125.0, 550.0);
         let (parent, _) = f.bfs(f.node_cell[0]);
         assert_eq!(parent[f.node_cell[9] as usize], u32::MAX);
-    }
-
-    #[test]
-    fn integration_is_shard_invariant() {
-        let pts = line(200, 37.0);
-        let mut a = Field::bin(&pts, 125.0, 550.0);
-        for (i, l) in a.load.iter_mut().enumerate() {
-            *l = (i as f64 * 0.01).sin().abs() * 0.2;
-        }
-        let mut b = a.clone();
-        a.integrate(1);
-        b.integrate(7);
-        assert_eq!(a.util, b.util, "shard count leaked into utilization");
-        assert!(a.util.iter().any(|&u| u > 0.0));
     }
 }

@@ -112,9 +112,6 @@ pub struct FluidConfig {
     pub control_payload_bytes: u32,
     /// The CBR flows.
     pub flows: Vec<FluidFlow>,
-    /// Worker shards for the utilization field (execution knob only —
-    /// results are bit-identical for every value; see DESIGN.md §14).
-    pub shards: u32,
 }
 
 impl FluidConfig {
@@ -130,7 +127,6 @@ impl FluidConfig {
             control_pps_per_node: 1.0,
             control_payload_bytes: 48,
             flows: Vec::new(),
-            shards: 1,
         }
     }
 }

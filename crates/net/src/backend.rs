@@ -24,8 +24,8 @@
 //! model) plugs into the same scenario pipeline.
 //!
 //! Which backend runs is selected per scenario by [`Fidelity`] — a
-//! *behaviour* knob (results differ between fidelities), unlike the
-//! `shards` execution knob, so it participates in checkpoint/run identity.
+//! *behaviour* knob (results differ between fidelities), so it
+//! participates in checkpoint/run identity.
 
 use std::time::Duration;
 

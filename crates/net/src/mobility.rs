@@ -30,12 +30,7 @@ pub enum PositionEpoch {
 /// Supplies node positions over time. Implemented for mobility traces by
 /// `cavenet-core`; [`StaticMobility`] covers fixed topologies in tests and
 /// examples.
-///
-/// `Send + Sync` is required so the sharded engine can sample positions
-/// from shard worker threads through a shared handle. Models are plain
-/// data evaluated as pure functions of `(index, t)`; interior mutability
-/// has never been part of the contract.
-pub trait MobilityModel: Send + Sync {
+pub trait MobilityModel {
     /// Position `(x, y)` in metres of node `index` at time `t`.
     ///
     /// Implementations must be total over `0..node_count` and all

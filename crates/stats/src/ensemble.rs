@@ -123,21 +123,6 @@ impl Ensemble {
         self
     }
 
-    /// Budget worker threads for trials that are themselves sharded
-    /// (see `Scenario::shards` in `cavenet-core`): divides the machine's
-    /// available parallelism by the per-trial shard count, so that
-    /// `ensemble workers × shards per trial ≈ cores` instead of
-    /// oversubscribing the machine `shards`-fold.
-    ///
-    /// Like [`Ensemble::workers`] this is purely a resource knob — trial
-    /// results are reassembled in trial order and each sharded trial is
-    /// bit-identical to its serial form, so every combination of ensemble
-    /// workers and shard count produces the same summary bitwise.
-    pub fn workers_for_shards(self, shards: usize) -> Self {
-        let budget = default_workers() / shards.max(1);
-        self.workers(budget.max(1))
-    }
-
     /// The seed for trial `i` (splitmix-style derivation so consecutive
     /// trials get well-separated streams).
     pub fn trial_seed(&self, i: usize) -> u64 {
@@ -320,33 +305,6 @@ mod tests {
         (0..(seed % 13 + 1))
             .map(|k| awkward_scalar(seed.wrapping_add(k)))
             .collect()
-    }
-
-    #[test]
-    fn worker_budget_divides_parallelism_by_shards() {
-        let cores = default_workers();
-        let e = Ensemble::new(8, 1).workers_for_shards(2);
-        assert_eq!(
-            e.workers.map(NonZeroUsize::get),
-            Some((cores / 2).max(1)),
-            "two-shard trials halve the ensemble's worker budget"
-        );
-        // A shard count beyond the machine still leaves one worker, and
-        // shards = 0 is treated as serial trials.
-        assert_eq!(
-            Ensemble::new(8, 1)
-                .workers_for_shards(cores * 10)
-                .workers
-                .map(NonZeroUsize::get),
-            Some(1)
-        );
-        assert_eq!(
-            Ensemble::new(8, 1)
-                .workers_for_shards(0)
-                .workers
-                .map(NonZeroUsize::get),
-            Some(cores)
-        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use manifest::{
     base_crate_versions, fnv64, ErrorEnvelope, RunManifest, MANIFEST_SCHEMA_VERSION,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramId, MetricsRegistry};
-pub use observer::{drop_reason_name, fold_shard_stats, TelemetryObserver};
+pub use observer::{drop_reason_name, TelemetryObserver};
 pub use profile::{Phase, PhaseProfiler};
 pub use stream::{
     CampaignAggregator, SnapshotBus, SnapshotEnvelope, SnapshotPublisher, StreamProbe,

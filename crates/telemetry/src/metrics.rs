@@ -9,12 +9,11 @@ use crate::json::Json;
 
 /// Monotonic counters, one slot each in [`MetricsRegistry`].
 ///
-/// Slots fall into three families sharing the one registry so every sink
+/// Slots fall into two families sharing the one registry so every sink
 /// (snapshot bus, JSONL feed, Prometheus exposition) works unchanged:
 /// engine counters fed by the
-/// [`TelemetryObserver`](crate::TelemetryObserver), shard-kernel counters
-/// fed from `ShardStats`, and campaign-supervisor counters fed by
-/// `cavenet-server`. A source only ever touches its own family; the merge
+/// [`TelemetryObserver`](crate::TelemetryObserver), and campaign-supervisor
+/// counters fed by `cavenet-server`. A source only ever touches its own family; the merge
 /// semantics (counters add) keep foreign slots at zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
@@ -44,12 +43,6 @@ pub enum Counter {
     RouteDiscoveryFailures,
     /// Fault events (crashes and recoveries).
     Faults,
-    /// Shard-kernel candidate queries answered across all arcs.
-    ShardQueries,
-    /// Shard arcs skipped whole by the bbox-lookahead test.
-    ShardBboxSkips,
-    /// Per-arc position resamples (grid rebuilds) across all arcs.
-    ShardResamples,
     /// Supervisor: trials admitted for execution.
     TrialsSubmitted,
     /// Supervisor: trials that reached a completed outcome.
@@ -68,7 +61,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 23;
+    pub const COUNT: usize = 20;
 
     /// All counters, in declaration (= snapshot) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -85,9 +78,6 @@ impl Counter {
         Counter::RouteDiscoverySuccesses,
         Counter::RouteDiscoveryFailures,
         Counter::Faults,
-        Counter::ShardQueries,
-        Counter::ShardBboxSkips,
-        Counter::ShardResamples,
         Counter::TrialsSubmitted,
         Counter::TrialsCompleted,
         Counter::TrialRetries,
@@ -113,9 +103,6 @@ impl Counter {
             Counter::RouteDiscoverySuccesses => "route_discovery_successes",
             Counter::RouteDiscoveryFailures => "route_discovery_failures",
             Counter::Faults => "faults",
-            Counter::ShardQueries => "shard_queries",
-            Counter::ShardBboxSkips => "shard_bbox_skips",
-            Counter::ShardResamples => "shard_resamples",
             Counter::TrialsSubmitted => "trials_submitted",
             Counter::TrialsCompleted => "trials_completed",
             Counter::TrialRetries => "trial_retries",
@@ -246,7 +233,7 @@ fn scalar_u64(json: &Json) -> Option<u64> {
 /// Bucket `b` holds samples `v` with `⌈log2(v+1)⌉ = b` — bucket 0 is the
 /// value 0, bucket 1 the value 1, bucket 2 the values 2–3, and so on up to
 /// bucket 64. Recording is a handful of integer ops; `merge` is bucketwise
-/// addition, which makes it associative and commutative — ensemble shards
+/// addition, which makes it associative and commutative — ensemble parts
 /// can be merged in any order or grouping and yield the same histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Histogram {
@@ -440,7 +427,7 @@ impl MetricsRegistry {
     }
 
     /// Fold another registry into this one: counters add, gauges take the
-    /// maximum, histograms merge bucketwise. Used to combine per-shard
+    /// maximum, histograms merge bucketwise. Used to combine per-trial
     /// registries from an ensemble run.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (mine, theirs) in self.counters.iter_mut().zip(other.counters.iter()) {
@@ -637,7 +624,7 @@ mod tests {
         }
 
         /// Histogram merge is associative: (a ∪ b) ∪ c = a ∪ (b ∪ c), so
-        /// ensemble shards may be reduced in any grouping.
+        /// ensemble parts may be reduced in any grouping.
         #[test]
         fn histogram_merge_is_associative(
             xs in prop::collection::vec(0u64..1_000_000, 0..40),

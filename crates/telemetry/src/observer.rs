@@ -1,39 +1,16 @@
 //! The observer that feeds the metrics registry, tracer and profiler.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use cavenet_net::{
     DropReason, EventKind, FaultKind, Frame, FrameDropReason, FrameKind, MacState, NodeId,
-    RouteEventKind, ShardStats, SimObserver, SimTime,
+    RouteEventKind, SimObserver, SimTime,
 };
 
 use crate::json::Json;
 use crate::metrics::{Counter, Gauge, HistogramId, MetricsRegistry};
-use crate::profile::{Phase, PhaseProfiler};
+use crate::profile::PhaseProfiler;
 use crate::trace::{TraceCategory, TraceConfig, TraceRecord, Tracer};
-
-/// Fold a sharded run's per-arc work statistics (from
-/// `Simulator::shard_stats`) into a registry and profiler: query /
-/// bbox-skip / resample counts become the shard counters, kernel and
-/// resample wall-clock becomes externally attributed time on the shard
-/// phases. Call once after the run, next to
-/// [`TelemetryObserver::finish`].
-pub fn fold_shard_stats(
-    stats: &ShardStats,
-    registry: &mut MetricsRegistry,
-    profiler: &mut PhaseProfiler,
-) {
-    let total = stats.total();
-    registry.add(Counter::ShardQueries, total.queries);
-    registry.add(Counter::ShardBboxSkips, total.bbox_skips);
-    registry.add(Counter::ShardResamples, total.resamples);
-    profiler.add_external(Phase::ShardKernel, Duration::from_nanos(total.kernel_ns));
-    profiler.add_external(
-        Phase::ShardResample,
-        Duration::from_nanos(total.resample_ns),
-    );
-}
 
 fn mac_state_name(s: MacState) -> &'static str {
     match s {

@@ -29,19 +29,13 @@ pub enum Phase {
     App,
     /// Fault injection events.
     Fault,
-    /// Sharded candidate-kernel work (per-arc query fan-out), timed by the
-    /// shard workers and attributed via [`PhaseProfiler::add_external`].
-    ShardKernel,
-    /// Sharded position resampling (per-arc grid rebuilds), timed by the
-    /// shard workers and attributed via [`PhaseProfiler::add_external`].
-    ShardResample,
     /// Event kinds this crate does not know (future engine additions).
     Other,
 }
 
 impl Phase {
     /// Number of phases.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 7;
 
     /// All phases, in declaration (= report) order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -51,8 +45,6 @@ impl Phase {
         Phase::Routing,
         Phase::App,
         Phase::Fault,
-        Phase::ShardKernel,
-        Phase::ShardResample,
         Phase::Other,
     ];
 
@@ -65,8 +57,6 @@ impl Phase {
             Phase::Routing => "routing",
             Phase::App => "app",
             Phase::Fault => "fault",
-            Phase::ShardKernel => "shard_kernel",
-            Phase::ShardResample => "shard_resample",
             Phase::Other => "other",
         }
     }

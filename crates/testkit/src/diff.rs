@@ -89,76 +89,22 @@ pub fn assert_equiv(
 
 /// Assert the identity semantics of [`scenario_identity`]: the `fidelity`
 /// backend knob is digest-relevant (the exact and fluid engines produce
-/// different results, so their snapshots must never cross-resume), while
-/// the `shards` execution knob is normalized away (any shard count is
-/// bit-identical, so a snapshot taken under N shards resumes under M).
+/// different results, so their snapshots must never cross-resume).
 ///
 /// # Panics
 ///
-/// Panics if exact and fluid variants of `base` share a scenario hash, or
-/// if any shard count in `shard_counts` shifts the hash under either
-/// fidelity.
-pub fn assert_identity_semantics(base: &Scenario, shard_counts: &[usize]) {
-    let identity_of = |fidelity: Fidelity, shards: usize| {
+/// Panics if exact and fluid variants of `base` share a scenario hash.
+pub fn assert_identity_semantics(base: &Scenario) {
+    let identity_of = |fidelity: Fidelity| {
         let mut s = base.clone();
         s.fidelity = fidelity;
-        s.shards = shards;
         scenario_identity(&s).scenario_hash
     };
-    let exact = identity_of(Fidelity::Exact, base.shards);
-    let fluid = identity_of(Fidelity::Fluid, base.shards);
+    let exact = identity_of(Fidelity::Exact);
+    let fluid = identity_of(Fidelity::Fluid);
     assert_ne!(
         exact, fluid,
         "fidelity must be digest-relevant: exact and fluid variants of one \
          scenario share identity 0x{exact:016x}"
     );
-    for (fidelity, reference) in [(Fidelity::Exact, exact), (Fidelity::Fluid, fluid)] {
-        for &shards in shard_counts {
-            let got = identity_of(fidelity, shards);
-            assert_eq!(
-                got,
-                reference,
-                "shards must be identity-neutral: {shards} shards shifted the \
-                 {} identity 0x{reference:016x} to 0x{got:016x}",
-                fidelity.name(),
-            );
-        }
-    }
-}
-
-/// Assert that the sharded engine is **bit-identical** to the serial one
-/// on `base` for every shard count in `shard_counts`: same event-stream
-/// digest, same event count, run by run.
-///
-/// The serial reference (`shards = 1`) is run once; its digest is returned
-/// so callers can additionally pin it against a committed golden value.
-///
-/// # Panics
-///
-/// Panics with both digests when any shard count diverges, and if the base
-/// scenario carried no traffic (a vacuous comparison).
-pub fn assert_shard_equiv(base: &Scenario, shard_counts: &[usize]) -> RunDigest {
-    let mut serial = base.clone();
-    serial.shards = 1;
-    let reference = digest_scenario(&serial);
-    assert!(
-        reference.result.total_sent() > 0,
-        "shard equivalence check is vacuous: no traffic was sent"
-    );
-    for &shards in shard_counts {
-        let mut sharded = base.clone();
-        sharded.shards = shards;
-        let run = digest_scenario(&sharded);
-        assert!(
-            run.digest == reference.digest && run.events == reference.events,
-            "sharded engine diverged from serial:\n  serial:    digest 0x{:016x}, {} events\n  \
-             {} shards: digest 0x{:016x}, {} events",
-            reference.digest,
-            reference.events,
-            shards,
-            run.digest,
-            run.events,
-        );
-    }
-    reference
 }

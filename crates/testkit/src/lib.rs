@@ -34,8 +34,7 @@ mod tee;
 
 pub use bisect::bisect_divergence;
 pub use diff::{
-    assert_equiv, assert_identity_semantics, assert_shard_equiv, digest_scenario, finish_digest,
-    RunDigest,
+    assert_equiv, assert_identity_semantics, digest_scenario, finish_digest, RunDigest,
 };
 pub use digest::GoldenDigest;
 pub use golden::{check_golden, golden_path, load_golden, store_golden, Golden};

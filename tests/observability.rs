@@ -10,8 +10,8 @@ use std::time::Duration;
 use cavenet_core::{Experiment, Protocol, Scenario};
 use cavenet_net::{FaultPlan, SimTime};
 use cavenet_telemetry::{
-    fold_shard_stats, render_prometheus, CampaignAggregator, Counter, HistogramId, MetricsRegistry,
-    Phase, PhaseProfiler, SnapshotBus, SnapshotEnvelope, StreamProbe,
+    render_prometheus, CampaignAggregator, Counter, HistogramId, MetricsRegistry, SnapshotBus,
+    SnapshotEnvelope, StreamProbe,
 };
 use cavenet_testkit::{GoldenDigest, Tee};
 use proptest::prelude::*;
@@ -143,34 +143,6 @@ fn prometheus_exposition_covers_the_registry() {
     }
     assert!(text.contains("cavenet_delivery_latency_ns_bucket"));
     assert!(text.contains("le=\"+Inf\""));
-}
-
-/// Per-arc shard attribution folds into the same registry and profiler
-/// the rest of telemetry uses: counters for queries/skips/resamples,
-/// wall-clock phases for kernel and resample time.
-#[test]
-fn shard_stats_fold_into_registry_and_profiler() {
-    let mut scenario = quick(Protocol::Aodv, 3);
-    scenario.sim_time = Duration::from_secs(20);
-    scenario.traffic.cbr.stop = Duration::from_secs(14);
-    scenario.shards = 3;
-    let (_, sim) = Experiment::new(scenario)
-        .run_with_observer(GoldenDigest::new())
-        .unwrap();
-    let stats = sim.shard_stats().expect("shard pool attached");
-    assert_eq!(stats.arcs.len(), 3);
-
-    let mut registry = MetricsRegistry::new();
-    let mut profiler = PhaseProfiler::new();
-    fold_shard_stats(&stats, &mut registry, &mut profiler);
-    let total = stats.total();
-    assert!(total.queries > 0, "the run must have queried the pool");
-    assert_eq!(registry.counter(Counter::ShardQueries), total.queries);
-    assert_eq!(registry.counter(Counter::ShardBboxSkips), total.bbox_skips);
-    assert_eq!(registry.counter(Counter::ShardResamples), total.resamples);
-    let phases = profiler.to_json();
-    assert!(phases.get(Phase::ShardKernel.name()).is_some());
-    assert!(phases.get(Phase::ShardResample.name()).is_some());
 }
 
 /// Build the `i`-th spec'd envelope: globally unique `seq`, a source from
