@@ -82,15 +82,8 @@ fn main() {
     sim.run_until(SimTime::from_secs_f64(s.sim_time.as_secs_f64()));
     let resume_wall = t_tail.elapsed();
 
-    let global = sim.global_stats();
-    let per_node: Vec<_> = (0..s.nodes)
-        .map(|i| (sim.node_stats(i), sim.mac_stats(i)))
-        .collect();
-    let mut digest = sim.into_observer();
-    digest.absorb_stats(&global);
-    for (i, (ns, ms)) in per_node.iter().enumerate() {
-        digest.absorb_node(i, ns, ms);
-    }
+    let mut digest = sim.observer().clone();
+    digest.absorb_final(&sim);
     println!(
         "resumed tail      : {:.2} s wall (restore {:.3} ms), digest 0x{:016x}",
         resume_wall.as_secs_f64(),

@@ -5,7 +5,8 @@
 //! the campaign server's supervised trials) uses the same naming scheme —
 //! `ckpt_<time_ns:020>.bin` — so their stores are interchangeable: a trial
 //! checkpointed by a batch sweep resumes under the server and vice versa.
-//! This module owns that scheme and the "latest readable" scan, so the
+//! This module owns that scheme and the newest-first listing; core's
+//! `Experiment::resume_latest` walks the listing for both layers, so the
 //! fallback-past-corruption policy lives in exactly one place.
 
 use std::fs;

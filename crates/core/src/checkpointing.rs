@@ -6,10 +6,12 @@
 //! the mobility configuration, and its metadata is derived from the
 //! [`Scenario`] so a snapshot refuses to restore into a different one.
 //!
-//! Three levels of service:
+//! Every level drives one [`Run`], so exact and fluid scenarios share
+//! each code path below. Three levels of service:
 //!
-//! * [`Experiment::snapshot_now`] / [`Experiment::resume_from_snapshot`] —
-//!   capture or restore a single point in a run.
+//! * [`Run::snapshot`] / [`Experiment::resume`] — capture or restore a
+//!   single point in a run ([`Experiment::snapshot_now`] and
+//!   [`Experiment::resume_from_snapshot`] are their exact-engine arms).
 //! * [`Experiment::run_with_checkpoints`] /
 //!   [`Experiment::resume_with_checkpoints`] — drive a run to completion
 //!   writing a snapshot file every `every` of *virtual* time, and pick a
@@ -19,6 +21,33 @@
 //!   checkpoints into its own subdirectory, so an interrupted sweep
 //!   restarts from the last completed (trial, checkpoint) pair instead of
 //!   from zero.
+//!
+//! ```no_run
+//! use std::path::Path;
+//! use std::time::Duration;
+//! use cavenet_core::net::NoopObserver;
+//! use cavenet_core::{Campaign, CheckpointPlan, Experiment, Protocol, Scenario};
+//!
+//! let plan = CheckpointPlan { every: Duration::from_secs(60), dir: "ckpts/aodv".into() };
+//!
+//! // Single run: save a snapshot every 60 simulated seconds.
+//! let exp = Experiment::new(Scenario::paper_table1(Protocol::Aodv));
+//! let (result, _run) = exp.run_with_checkpoints(NoopObserver, &plan)?;
+//!
+//! // After an interruption: resumes from the newest readable checkpoint,
+//! // skipping corrupt or truncated files, or runs cold if none parse.
+//! let (resumed, _run, lineage) = exp.resume_with_checkpoints(NoopObserver, &plan)?;
+//! assert!(lineage.is_cold() || lineage.resume_step > 0);
+//! assert_eq!(resumed.total_received(), result.total_received());
+//!
+//! // Multi-seed sweep: each trial checkpoints into ckpts/dymo/trial_NNNN/;
+//! // re-running the same call resumes every trial from its last completed
+//! // checkpoint (completed trials replay in O(restore) work).
+//! let sweep = Campaign { base: Scenario::paper_table1(Protocol::Dymo), trials: 32, master_seed: 7 };
+//! let outcomes = sweep.run_resumable(Path::new("ckpts/dymo"), Duration::from_secs(60))?;
+//! assert_eq!(outcomes.len(), 32);
+//! # Ok::<(), cavenet_core::CheckpointError>(())
+//! ```
 //!
 //! Resumption is **bit-identical**: a run driven `0 → T` and a run driven
 //! `0 → k`, snapshotted, restored in a fresh process and driven `k → T`
@@ -35,12 +64,12 @@ use cavenet_checkpoint::{
     capture_simulator, restore_simulator, section, store, Snapshot, SnapshotError, SnapshotMeta,
 };
 use cavenet_fluid::FluidEngine;
-use cavenet_net::{Fidelity, SimObserver, SimTime, Simulator, WireWriter};
+use cavenet_net::{NoopObserver, SimObserver, Simulator, WireWriter};
 use cavenet_rng::fnv::fnv64;
 use cavenet_stats::Ensemble;
 use cavenet_traffic::SharedRecorder;
 
-use crate::{Experiment, ExperimentResult, Scenario, ScenarioError};
+use crate::{Experiment, ExperimentResult, Run, Scenario, ScenarioError};
 
 /// Why a checkpointed run could not start, save or resume.
 #[derive(Debug)]
@@ -162,8 +191,9 @@ fn mobility_fingerprint(s: &Scenario) -> u64 {
 }
 
 impl Experiment {
-    /// Snapshot a mid-flight run: the simulator's six sections plus the
-    /// traffic ledger and the mobility fingerprint.
+    /// Snapshot a mid-flight exact run: the simulator's six sections plus
+    /// the traffic ledger and the mobility fingerprint. This is the exact
+    /// arm of [`Run::snapshot`].
     ///
     /// # Errors
     ///
@@ -177,19 +207,12 @@ impl Experiment {
         let mut w = WireWriter::new();
         recorder.borrow().capture(&mut w);
         snap.insert(section::TRAFFIC, w.into_bytes())?;
-        let mut w = WireWriter::new();
-        w.put_u64(mobility_fingerprint(self.scenario()));
-        snap.insert(section::MOBILITY, w.into_bytes())?;
+        insert_mobility(&mut snap, self.scenario())?;
         Ok(snap)
     }
 
-    /// Apply `snap` to a freshly built simulator/recorder pair.
-    fn restore_into<O: SimObserver>(
-        &self,
-        sim: &mut Simulator<O>,
-        recorder: &SharedRecorder,
-        snap: &Snapshot,
-    ) -> Result<SnapshotMeta, SnapshotError> {
+    /// Refuse `snap` unless it was taken over this scenario's mobility.
+    fn check_mobility(&self, snap: &Snapshot) -> Result<(), SnapshotError> {
         let mut r = snap.reader(section::MOBILITY)?;
         let found = r
             .get_u64()
@@ -203,6 +226,17 @@ impl Experiment {
                 expected,
             });
         }
+        Ok(())
+    }
+
+    /// Apply `snap`'s engine sections and traffic ledger to a freshly
+    /// built simulator/recorder pair.
+    fn restore_exact<O: SimObserver>(
+        &self,
+        sim: &mut Simulator<O>,
+        recorder: &SharedRecorder,
+        snap: &Snapshot,
+    ) -> Result<SnapshotMeta, SnapshotError> {
         let meta = restore_simulator(sim, snap, &scenario_identity(self.scenario()))?;
         let mut r = snap.reader(section::TRAFFIC)?;
         recorder
@@ -213,45 +247,127 @@ impl Experiment {
         Ok(meta)
     }
 
-    /// Build a fresh simulator for this scenario and restore `snap` into
-    /// it, returning the simulator ready to continue from the snapshot's
-    /// capture point, its traffic recorder, and the snapshot metadata.
+    /// Apply `snap`'s META check and FLUID section to a freshly built
+    /// fluid engine.
+    fn restore_fluid(
+        &self,
+        engine: &mut FluidEngine,
+        snap: &Snapshot,
+    ) -> Result<SnapshotMeta, SnapshotError> {
+        let meta = snap.meta()?;
+        meta.check_same_run(&scenario_identity(self.scenario()))?;
+        let mut r = snap.reader(section::FLUID)?;
+        engine
+            .restore(&mut r)
+            .and_then(|()| r.finish())
+            .map_err(SnapshotError::wire(section::FLUID))?;
+        Ok(meta)
+    }
+
+    /// Build a fresh simulator for this exact scenario and restore `snap`
+    /// into it, returning the simulator ready to continue from the
+    /// snapshot's capture point, its traffic recorder, and the snapshot
+    /// metadata. This is the exact arm of [`resume`](Self::resume).
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Scenario`] when the scenario cannot build;
-    /// [`CheckpointError::Snapshot`] when the snapshot is malformed or
-    /// belongs to a different run.
+    /// [`CheckpointError::Scenario`] when the scenario cannot build (or is
+    /// not an exact scenario); [`CheckpointError::Snapshot`] when the
+    /// snapshot is malformed or belongs to a different run.
     pub fn resume_from_snapshot<O: SimObserver>(
         &self,
         observer: O,
         snap: &Snapshot,
     ) -> Result<(Simulator<O>, SharedRecorder, SnapshotMeta), CheckpointError> {
         let (mut sim, recorder) = self.build_sim(observer)?;
-        let meta = self.restore_into(&mut sim, &recorder, snap)?;
+        self.check_mobility(snap)?;
+        let meta = self.restore_exact(&mut sim, &recorder, snap)?;
         Ok((sim, recorder, meta))
     }
 
-    /// Drive `sim` from its current clock to the scenario end, writing a
+    /// Build a fresh [`Run`] for this scenario and restore `snap` into it,
+    /// returning the run ready to continue from the snapshot's capture
+    /// point and the snapshot metadata. A snapshot taken under the other
+    /// fidelity is refused: its META hash differs (fidelity is part of the
+    /// identity) and it lacks this backend's sections.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Scenario`] when the scenario cannot build;
+    /// [`CheckpointError::Snapshot`] when the snapshot is malformed or
+    /// belongs to a different run.
+    pub fn resume<O: SimObserver>(
+        &self,
+        observer: O,
+        snap: &Snapshot,
+    ) -> Result<(Run<O>, SnapshotMeta), CheckpointError> {
+        let mut run = self.start(observer)?;
+        self.check_mobility(snap)?;
+        let meta = match &mut run {
+            Run::Exact { sim, recorder } => self.restore_exact(sim, recorder, snap)?,
+            Run::Fluid(engine) => self.restore_fluid(engine, snap)?,
+        };
+        Ok((run, meta))
+    }
+
+    /// Resume from the newest readable checkpoint in `dir` — falling back,
+    /// snapshot by snapshot, past corrupt, truncated or foreign files — or
+    /// start cold when none applies. Returns the run and the [`Lineage`]
+    /// actually used ([`Lineage::is_cold`] tells whether any checkpoint
+    /// was usable).
+    ///
+    /// The observer must be `Clone` because a restore that fails mid-way
+    /// may have half-applied state: every attempt (and the cold start)
+    /// begins from a pristine run built around a fresh clone of
+    /// `observer`.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Io`] when `dir` cannot be listed;
+    /// [`CheckpointError::Scenario`] when the scenario cannot build. A
+    /// corrupt checkpoint *file* is not an error — it is skipped.
+    pub fn resume_latest<O: SimObserver + Clone>(
+        &self,
+        observer: O,
+        dir: &Path,
+    ) -> Result<(Run<O>, Lineage), CheckpointError> {
+        for path in store::list_newest_first(dir)? {
+            let Ok(bytes) = fs::read(&path) else { continue };
+            let Ok(snap) = Snapshot::from_bytes(&bytes) else {
+                continue;
+            };
+            if let Ok((run, meta)) = self.resume(observer.clone(), &snap) {
+                let lineage = Lineage {
+                    parent_snapshot_hash: snap.container_hash(),
+                    resume_step: meta.step,
+                };
+                return Ok((run, lineage));
+            }
+        }
+        Ok((self.start(observer)?, Lineage::default()))
+    }
+
+    /// Drive `run` from its current clock to the scenario end, writing a
     /// snapshot file after every `plan.every` of virtual time and at the
-    /// end.
+    /// end. Fluid time moves in whole model steps, so when `every` is not
+    /// a multiple of the step a fluid snapshot lands on the first step
+    /// boundary past each target.
     fn checkpoint_loop<O: SimObserver>(
         &self,
-        sim: &mut Simulator<O>,
-        recorder: &SharedRecorder,
+        run: &mut Run<O>,
         plan: &CheckpointPlan,
     ) -> Result<(), CheckpointError> {
         let every = plan.every.as_nanos().min(u128::from(u64::MAX)) as u64;
         if every == 0 {
             return Err(CheckpointError::ZeroInterval);
         }
-        let end = SimTime::from_secs_f64(self.scenario().sim_time.as_secs_f64()).as_nanos();
-        let mut now = sim.now().as_nanos();
+        let end = run.end_ns(self);
+        let mut now = run.now_ns();
         while now < end {
             let target = now.saturating_add(every - now % every).min(end);
-            sim.run_until(SimTime::from_nanos(target));
-            now = sim.now().as_nanos();
-            let snap = self.snapshot_now(sim, recorder)?;
+            run.advance_until_ns(target);
+            now = run.now_ns();
+            let snap = run.snapshot(self)?;
             store::write_snapshot(&plan.dir, now, &snap)?;
         }
         Ok(())
@@ -269,24 +385,20 @@ impl Experiment {
         &self,
         observer: O,
         plan: &CheckpointPlan,
-    ) -> Result<(ExperimentResult, Simulator<O>), CheckpointError> {
+    ) -> Result<(ExperimentResult, Run<O>), CheckpointError> {
         fs::create_dir_all(&plan.dir)?;
-        let (mut sim, recorder) = self.build_sim(observer)?;
-        self.checkpoint_loop(&mut sim, &recorder, plan)?;
-        Ok((self.collect(&sim, &recorder), sim))
+        let mut run = self.start(observer)?;
+        self.checkpoint_loop(&mut run, plan)?;
+        Ok((run.collect(self), run))
     }
 
     /// Resume the scenario from the newest readable checkpoint in
-    /// `plan.dir` — falling back, snapshot by snapshot, past corrupt,
-    /// truncated or foreign files — or start cold when none works. The run
-    /// then continues to completion, still checkpointing periodically.
+    /// `plan.dir` (see [`resume_latest`](Self::resume_latest)), or start
+    /// cold when none works, then continue to completion, still
+    /// checkpointing periodically.
     ///
-    /// Returns the experiment result, the finished simulator and the
-    /// [`Lineage`] actually used ([`Lineage::is_cold`] tells whether any
-    /// checkpoint was usable). The observer must be `Clone` because a
-    /// restore that fails mid-way may have half-applied state: every
-    /// attempt (and the cold fallback) starts from a pristine simulator
-    /// built around a fresh clone of `observer`.
+    /// Returns the experiment result, the finished run and the
+    /// [`Lineage`] actually used.
     ///
     /// # Errors
     ///
@@ -297,43 +409,36 @@ impl Experiment {
         &self,
         observer: O,
         plan: &CheckpointPlan,
-    ) -> Result<(ExperimentResult, Simulator<O>, Lineage), CheckpointError> {
+    ) -> Result<(ExperimentResult, Run<O>, Lineage), CheckpointError> {
         fs::create_dir_all(&plan.dir)?;
-        let mut lineage = Lineage::default();
-        let mut restored: Option<(Simulator<O>, SharedRecorder)> = None;
-        for path in store::list_newest_first(&plan.dir)? {
-            let Ok(bytes) = fs::read(&path) else { continue };
-            let Ok(snap) = Snapshot::from_bytes(&bytes) else {
-                continue;
-            };
-            let (mut sim, recorder) = self.build_sim(observer.clone())?;
-            if let Ok(meta) = self.restore_into(&mut sim, &recorder, &snap) {
-                lineage = Lineage {
-                    parent_snapshot_hash: snap.container_hash(),
-                    resume_step: meta.step,
-                };
-                restored = Some((sim, recorder));
-                break;
-            }
-        }
-        let (mut sim, recorder) = match restored {
-            Some(pair) => pair,
-            None => self.build_sim(observer)?,
-        };
-        self.checkpoint_loop(&mut sim, &recorder, plan)?;
-        Ok((self.collect(&sim, &recorder), sim, lineage))
+        let (mut run, lineage) = self.resume_latest(observer, &plan.dir)?;
+        self.checkpoint_loop(&mut run, plan)?;
+        Ok((run.collect(self), run, lineage))
     }
+}
 
-    /// Snapshot a mid-flight fluid run: META (scenario identity, which
-    /// includes the fidelity), the engine's FLUID section and the mobility
-    /// fingerprint — the fluid counterpart of
-    /// [`snapshot_now`](Self::snapshot_now).
+/// Record the fingerprint of `s`'s mobility configuration in `snap`.
+fn insert_mobility(snap: &mut Snapshot, s: &Scenario) -> Result<(), SnapshotError> {
+    let mut w = WireWriter::new();
+    w.put_u64(mobility_fingerprint(s));
+    snap.insert(section::MOBILITY, w.into_bytes())
+}
+
+impl<O: SimObserver> Run<O> {
+    /// Snapshot the run at its current point: for the exact engine see
+    /// [`Experiment::snapshot_now`]; for the fluid engine, META (scenario
+    /// identity, which includes the fidelity), the engine's FLUID section
+    /// and the mobility fingerprint.
     ///
     /// # Errors
     ///
     /// [`SnapshotError`] when a section fails to serialize.
-    pub fn snapshot_fluid(&self, engine: &FluidEngine) -> Result<Snapshot, SnapshotError> {
-        let mut identity = scenario_identity(self.scenario());
+    pub fn snapshot(&self, exp: &Experiment) -> Result<Snapshot, SnapshotError> {
+        let engine = match self {
+            Run::Exact { sim, recorder } => return exp.snapshot_now(sim, recorder),
+            Run::Fluid(engine) => engine,
+        };
+        let mut identity = scenario_identity(exp.scenario());
         identity.time_ns = engine.now_ns();
         identity.step = engine.steps_done();
         let mut snap = Snapshot::new();
@@ -343,130 +448,8 @@ impl Experiment {
         let mut w = WireWriter::new();
         engine.capture(&mut w);
         snap.insert(section::FLUID, w.into_bytes())?;
-        let mut w = WireWriter::new();
-        w.put_u64(mobility_fingerprint(self.scenario()));
-        snap.insert(section::MOBILITY, w.into_bytes())?;
+        insert_mobility(&mut snap, exp.scenario())?;
         Ok(snap)
-    }
-
-    /// Build a fresh fluid engine for this scenario and restore `snap`
-    /// into it. A snapshot taken under the exact fidelity is refused —
-    /// its META hash differs (fidelity is identity-relevant) and it has no
-    /// FLUID section.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Scenario`] when the scenario cannot build (or is
-    /// not a fluid scenario); [`CheckpointError::Snapshot`] when the
-    /// snapshot is malformed or belongs to a different run.
-    pub fn resume_fluid_from_snapshot(
-        &self,
-        snap: &Snapshot,
-    ) -> Result<(FluidEngine, SnapshotMeta), CheckpointError> {
-        let mut engine = self.build_fluid()?;
-        let mut r = snap.reader(section::MOBILITY)?;
-        let found = r
-            .get_u64()
-            .and_then(|v| r.finish().map(|()| v))
-            .map_err(SnapshotError::wire(section::MOBILITY))?;
-        let expected = mobility_fingerprint(self.scenario());
-        if found != expected {
-            return Err(SnapshotError::MetaMismatch {
-                what: "mobility_fingerprint",
-                found,
-                expected,
-            }
-            .into());
-        }
-        let meta = snap.meta()?;
-        meta.check_same_run(&scenario_identity(self.scenario()))?;
-        let mut r = snap.reader(section::FLUID)?;
-        engine
-            .restore(&mut r)
-            .and_then(|()| r.finish())
-            .map_err(SnapshotError::wire(section::FLUID))?;
-        Ok((engine, meta))
-    }
-
-    /// Drive `engine` to the scenario end, snapshotting every `plan.every`
-    /// of virtual time. Fluid time moves in whole model steps, so when
-    /// `every` is not a multiple of the step a snapshot lands on the first
-    /// boundary past each target.
-    fn fluid_checkpoint_loop(
-        &self,
-        engine: &mut FluidEngine,
-        plan: &CheckpointPlan,
-    ) -> Result<(), CheckpointError> {
-        let every = plan.every.as_nanos().min(u128::from(u64::MAX)) as u64;
-        if every == 0 {
-            return Err(CheckpointError::ZeroInterval);
-        }
-        let end = self.scenario().sim_time.as_nanos() as u64;
-        let mut now = engine.now_ns();
-        while now < end {
-            let target = now.saturating_add(every - now % every).min(end);
-            engine.run_until_ns(target);
-            now = engine.now_ns();
-            let snap = self.snapshot_fluid(engine)?;
-            store::write_snapshot(&plan.dir, now, &snap)?;
-        }
-        Ok(())
-    }
-
-    /// [`run_with_checkpoints`](Self::run_with_checkpoints) for the fluid
-    /// fidelity: run to completion, snapshotting periodically into
-    /// `plan.dir`.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError`] on scenario, snapshot or filesystem failure, or
-    /// [`CheckpointError::ZeroInterval`] when `plan.every` is zero.
-    pub fn run_with_checkpoints_fluid(
-        &self,
-        plan: &CheckpointPlan,
-    ) -> Result<(ExperimentResult, FluidEngine), CheckpointError> {
-        fs::create_dir_all(&plan.dir)?;
-        let mut engine = self.build_fluid()?;
-        self.fluid_checkpoint_loop(&mut engine, plan)?;
-        Ok((self.collect_fluid(&engine), engine))
-    }
-
-    /// [`resume_with_checkpoints`](Self::resume_with_checkpoints) for the
-    /// fluid fidelity: resume from the newest readable checkpoint
-    /// (falling back past corrupt or foreign files), then continue to
-    /// completion, still checkpointing.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError`] on scenario, snapshot or filesystem failure, or
-    /// [`CheckpointError::ZeroInterval`] when `plan.every` is zero.
-    pub fn resume_with_checkpoints_fluid(
-        &self,
-        plan: &CheckpointPlan,
-    ) -> Result<(ExperimentResult, FluidEngine, Lineage), CheckpointError> {
-        fs::create_dir_all(&plan.dir)?;
-        let mut lineage = Lineage::default();
-        let mut restored: Option<FluidEngine> = None;
-        for path in store::list_newest_first(&plan.dir)? {
-            let Ok(bytes) = fs::read(&path) else { continue };
-            let Ok(snap) = Snapshot::from_bytes(&bytes) else {
-                continue;
-            };
-            if let Ok((engine, meta)) = self.resume_fluid_from_snapshot(&snap) {
-                lineage = Lineage {
-                    parent_snapshot_hash: snap.container_hash(),
-                    resume_step: meta.step,
-                };
-                restored = Some(engine);
-                break;
-            }
-        }
-        let mut engine = match restored {
-            Some(e) => e,
-            None => self.build_fluid()?,
-        };
-        self.fluid_checkpoint_loop(&mut engine, plan)?;
-        Ok((self.collect_fluid(&engine), engine, lineage))
     }
 }
 
@@ -513,14 +496,9 @@ impl Campaign {
                     every,
                     dir: dir.join(format!("trial_{i:04}")),
                 };
-                let exp = Experiment::new(self.trial_scenario(i));
-                if exp.scenario().fidelity == Fidelity::Fluid {
-                    exp.resume_with_checkpoints_fluid(&plan)
-                        .map(|(result, _engine, lineage)| (result, lineage))
-                } else {
-                    exp.resume_with_checkpoints(cavenet_net::NoopObserver, &plan)
-                        .map(|(result, _sim, lineage)| (result, lineage))
-                }
+                Experiment::new(self.trial_scenario(i))
+                    .resume_with_checkpoints(NoopObserver, &plan)
+                    .map(|(result, _run, lineage)| (result, lineage))
             })
             .collect()
     }
@@ -530,6 +508,9 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::Protocol;
+    use cavenet_net::{Fidelity, GlobalStats};
+
+    const FIDELITIES: [Fidelity; 2] = [Fidelity::Exact, Fidelity::Fluid];
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cavenet_ckpt_{}_{tag}", std::process::id()));
@@ -547,53 +528,98 @@ mod tests {
         s
     }
 
+    fn tiny_experiment(seed: u64, fidelity: Fidelity) -> Experiment {
+        let mut s = tiny_scenario(seed);
+        s.fidelity = fidelity;
+        Experiment::new(s)
+    }
+
+    /// The uninterrupted run of `exp`: [`Experiment::run`]'s result plus
+    /// the finished run.
+    fn straight(exp: &Experiment) -> (ExperimentResult, Run<NoopObserver>) {
+        let mut run = exp.start(NoopObserver).unwrap();
+        run.advance_until_ns(run.end_ns(exp));
+        (run.collect(exp), run)
+    }
+
+    /// What two runs of one scenario must agree on: the engine counters,
+    /// the deliveries and, under the fluid backend, the engine's step
+    /// digest.
+    fn outcome(
+        result: &ExperimentResult,
+        run: &Run<NoopObserver>,
+    ) -> (GlobalStats, u64, Option<u64>) {
+        let digest = match run {
+            Run::Exact { .. } => None,
+            Run::Fluid(engine) => Some(engine.digest()),
+        };
+        (result.global, result.total_received(), digest)
+    }
+
     #[test]
     fn checkpointed_run_matches_plain_run() {
-        let dir = scratch_dir("plain");
-        let exp = Experiment::new(tiny_scenario(3));
-        let plain = exp.run().unwrap();
-        let plan = CheckpointPlan {
-            every: Duration::from_secs(4),
-            dir: dir.clone(),
-        };
-        let (ckpt, _sim) = exp
-            .run_with_checkpoints(cavenet_net::NoopObserver, &plan)
-            .unwrap();
-        assert_eq!(plain.global, ckpt.global);
-        assert_eq!(plain.total_received(), ckpt.total_received());
-        // Snapshots at 4 s, 8 s, 12 s.
-        assert_eq!(store::list_newest_first(&dir).unwrap().len(), 3);
-        let _ = fs::remove_dir_all(&dir);
+        for fidelity in FIDELITIES {
+            let dir = scratch_dir(&format!("plain_{}", fidelity.name()));
+            let exp = tiny_experiment(3, fidelity);
+            let (plain, plain_run) = straight(&exp);
+            let plan = CheckpointPlan {
+                every: Duration::from_secs(4),
+                dir: dir.clone(),
+            };
+            let (ckpt, run) = exp.run_with_checkpoints(NoopObserver, &plan).unwrap();
+            assert_eq!(
+                outcome(&ckpt, &run),
+                outcome(&plain, &plain_run),
+                "{fidelity:?}"
+            );
+            // Snapshots at 4 s, 8 s, 12 s.
+            assert_eq!(store::list_newest_first(&dir).unwrap().len(), 3);
+
+            // And a resume from those checkpoints reproduces the same run.
+            let (resumed, run, lineage) = exp.resume_with_checkpoints(NoopObserver, &plan).unwrap();
+            assert!(!lineage.is_cold(), "{fidelity:?}");
+            assert_eq!(
+                outcome(&resumed, &run),
+                outcome(&plain, &plain_run),
+                "{fidelity:?}"
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
     fn resume_falls_back_past_corrupt_checkpoints() {
-        let dir = scratch_dir("corrupt");
-        let exp = Experiment::new(tiny_scenario(5));
-        let plain = exp.run().unwrap();
-        let plan = CheckpointPlan {
-            every: Duration::from_secs(4),
-            dir: dir.clone(),
-        };
-        exp.run_with_checkpoints(cavenet_net::NoopObserver, &plan)
-            .unwrap();
-        // Vandalize the two newest checkpoints differently: one truncated,
-        // one bit-flipped.
-        let files = store::list_newest_first(&dir).unwrap();
-        let newest = fs::read(&files[0]).unwrap();
-        fs::write(&files[0], &newest[..newest.len() / 2]).unwrap();
-        let mut second = fs::read(&files[1]).unwrap();
-        let mid = second.len() / 2;
-        second[mid] ^= 0xFF;
-        fs::write(&files[1], &second).unwrap();
+        for fidelity in FIDELITIES {
+            let dir = scratch_dir(&format!("corrupt_{}", fidelity.name()));
+            let exp = tiny_experiment(5, fidelity);
+            let (plain, plain_run) = straight(&exp);
+            let plan = CheckpointPlan {
+                every: Duration::from_secs(4),
+                dir: dir.clone(),
+            };
+            exp.run_with_checkpoints(NoopObserver, &plan).unwrap();
+            // Vandalize the two newest checkpoints differently: one
+            // truncated, one bit-flipped.
+            let files = store::list_newest_first(&dir).unwrap();
+            let newest = fs::read(&files[0]).unwrap();
+            fs::write(&files[0], &newest[..newest.len() / 2]).unwrap();
+            let mut second = fs::read(&files[1]).unwrap();
+            let mid = second.len() / 2;
+            second[mid] ^= 0xFF;
+            fs::write(&files[1], &second).unwrap();
 
-        let (result, _sim, lineage) = exp
-            .resume_with_checkpoints(cavenet_net::NoopObserver, &plan)
-            .unwrap();
-        assert!(!lineage.is_cold(), "oldest checkpoint must still restore");
-        assert_eq!(result.global, plain.global);
-        assert_eq!(result.total_received(), plain.total_received());
-        let _ = fs::remove_dir_all(&dir);
+            let (result, run, lineage) = exp.resume_with_checkpoints(NoopObserver, &plan).unwrap();
+            assert!(
+                !lineage.is_cold(),
+                "{fidelity:?}: oldest checkpoint must still restore"
+            );
+            assert_eq!(
+                outcome(&result, &run),
+                outcome(&plain, &plain_run),
+                "{fidelity:?}"
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -605,9 +631,7 @@ mod tests {
             every: Duration::from_secs(6),
             dir: dir.clone(),
         };
-        let (result, _sim, lineage) = exp
-            .resume_with_checkpoints(cavenet_net::NoopObserver, &plan)
-            .unwrap();
+        let (result, _run, lineage) = exp.resume_with_checkpoints(NoopObserver, &plan).unwrap();
         assert!(lineage.is_cold());
         assert_eq!(result.global, plain.global);
         let _ = fs::remove_dir_all(&dir);
@@ -617,11 +641,9 @@ mod tests {
     fn foreign_snapshot_is_rejected_not_applied() {
         let exp_a = Experiment::new(tiny_scenario(1));
         let exp_b = Experiment::new(tiny_scenario(2));
-        let (sim, rec) = exp_a.build_sim(cavenet_net::NoopObserver).unwrap();
+        let (sim, rec) = exp_a.build_sim(NoopObserver).unwrap();
         let snap = exp_a.snapshot_now(&sim, &rec).unwrap();
-        let err = exp_b
-            .resume_from_snapshot(cavenet_net::NoopObserver, &snap)
-            .unwrap_err();
+        let err = exp_b.resume_from_snapshot(NoopObserver, &snap).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -629,124 +651,64 @@ mod tests {
             ),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn fluid_checkpointed_run_matches_plain_run() {
-        let dir = scratch_dir("fluid_plain");
-        let mut s = tiny_scenario(3);
-        s.fidelity = Fidelity::Fluid;
-        let exp = Experiment::new(s);
-        let (_, plain_engine) = exp.run_fluid().unwrap();
-        let plan = CheckpointPlan {
-            every: Duration::from_secs(4),
-            dir: dir.clone(),
-        };
-        let (ckpt, engine) = exp.run_with_checkpoints_fluid(&plan).unwrap();
-        assert_eq!(engine.digest(), plain_engine.digest());
-        assert_eq!(ckpt.total_received(), exp.run().unwrap().total_received());
-        assert_eq!(store::list_newest_first(&dir).unwrap().len(), 3);
-
-        // And a resume from those checkpoints reproduces the same digest.
-        let (resumed, engine2, lineage) = exp.resume_with_checkpoints_fluid(&plan).unwrap();
-        assert!(!lineage.is_cold());
-        assert_eq!(engine2.digest(), plain_engine.digest());
-        assert_eq!(resumed.total_received(), ckpt.total_received());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn fluid_snapshot_refuses_the_exact_fidelity_and_vice_versa() {
-        let mut fluid_s = tiny_scenario(9);
-        fluid_s.fidelity = Fidelity::Fluid;
-        let fluid_exp = Experiment::new(fluid_s.clone());
-        let engine = fluid_exp.build_fluid().unwrap();
-        let fluid_snap = fluid_exp.snapshot_fluid(&engine).unwrap();
+        let fluid_exp = tiny_experiment(9, Fidelity::Fluid);
+        let exact_exp = tiny_experiment(9, Fidelity::Exact);
+        let snapshot_of =
+            |exp: &Experiment| exp.start(NoopObserver).unwrap().snapshot(exp).unwrap();
+        let fluid_snap = snapshot_of(&fluid_exp);
+        let exact_snap = snapshot_of(&exact_exp);
 
-        // The same scenario under the exact fidelity must reject it.
-        let mut exact_s = fluid_s;
-        exact_s.fidelity = Fidelity::Exact;
-        let exact_exp = Experiment::new(exact_s);
-        let err = exact_exp
-            .resume_from_snapshot(cavenet_net::NoopObserver, &fluid_snap)
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CheckpointError::Snapshot(SnapshotError::MetaMismatch { .. })
-            ),
-            "{err:?}"
-        );
-
-        // And an exact snapshot must not restore into a fluid engine.
-        let (sim, rec) = exact_exp.build_sim(cavenet_net::NoopObserver).unwrap();
-        let exact_snap = exact_exp.snapshot_now(&sim, &rec).unwrap();
-        let err = fluid_exp
-            .resume_fluid_from_snapshot(&exact_snap)
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CheckpointError::Snapshot(SnapshotError::MetaMismatch { .. })
-            ),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn fluid_campaign_resumes() {
-        let dir = scratch_dir("fluid_campaign");
-        let mut base = tiny_scenario(0);
-        base.fidelity = Fidelity::Fluid;
-        let campaign = Campaign {
-            base,
-            trials: 2,
-            master_seed: 42,
-        };
-        let first = campaign
-            .run_resumable(&dir, Duration::from_secs(4))
-            .unwrap();
-        assert!(first.iter().all(|(_, l)| l.is_cold()));
-        let second = campaign
-            .run_resumable(&dir, Duration::from_secs(4))
-            .unwrap();
-        for ((a, _), (b, lineage)) in first.iter().zip(&second) {
-            assert!(!lineage.is_cold(), "second pass must resume");
-            assert_eq!(a.total_received(), b.total_received());
+        // The same scenario under the exact fidelity must reject the fluid
+        // snapshot, and a fluid engine must not restore the exact one.
+        for (exp, snap) in [(&exact_exp, &fluid_snap), (&fluid_exp, &exact_snap)] {
+            let err = exp.resume(NoopObserver, snap).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CheckpointError::Snapshot(SnapshotError::MetaMismatch { .. })
+                ),
+                "{err:?}"
+            );
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn campaign_resumes_from_completed_trials() {
-        let dir = scratch_dir("campaign");
-        let mut base = tiny_scenario(0);
-        base.sim_time = Duration::from_secs(8);
-        base.traffic.cbr.stop = Duration::from_secs(6);
-        let campaign = Campaign {
-            base,
-            trials: 3,
-            master_seed: 42,
-        };
-        let first = campaign
-            .run_resumable(&dir, Duration::from_secs(4))
-            .unwrap();
-        assert_eq!(first.len(), 3);
-        assert!(first.iter().all(|(_, l)| l.is_cold()));
-        // Seeds must differ across trials.
-        assert_ne!(
-            campaign.trial_scenario(0).seed,
-            campaign.trial_scenario(1).seed
-        );
+        for fidelity in FIDELITIES {
+            let dir = scratch_dir(&format!("campaign_{}", fidelity.name()));
+            let mut base = tiny_scenario(0);
+            base.fidelity = fidelity;
+            base.sim_time = Duration::from_secs(8);
+            base.traffic.cbr.stop = Duration::from_secs(6);
+            let campaign = Campaign {
+                base,
+                trials: 3,
+                master_seed: 42,
+            };
+            let first = campaign
+                .run_resumable(&dir, Duration::from_secs(4))
+                .unwrap();
+            assert_eq!(first.len(), 3);
+            assert!(first.iter().all(|(_, l)| l.is_cold()));
+            // Seeds must differ across trials.
+            assert_ne!(
+                campaign.trial_scenario(0).seed,
+                campaign.trial_scenario(1).seed
+            );
 
-        let second = campaign
-            .run_resumable(&dir, Duration::from_secs(4))
-            .unwrap();
-        for ((a, _), (b, lineage)) in first.iter().zip(&second) {
-            assert!(!lineage.is_cold(), "second pass must resume");
-            assert_eq!(a.global, b.global);
-            assert_eq!(a.total_received(), b.total_received());
+            let second = campaign
+                .run_resumable(&dir, Duration::from_secs(4))
+                .unwrap();
+            for ((a, _), (b, lineage)) in first.iter().zip(&second) {
+                assert!(!lineage.is_cold(), "{fidelity:?}: second pass must resume");
+                assert_eq!(a.global, b.global, "{fidelity:?}");
+                assert_eq!(a.total_received(), b.total_received(), "{fidelity:?}");
+            }
+            let _ = fs::remove_dir_all(&dir);
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -5,10 +5,10 @@ use std::time::Duration;
 
 use cavenet_fluid::{FluidConfig, FluidEngine, FluidFlow, RouteDiscipline};
 use cavenet_net::{
-    DropCounts, ExactBackend, Fidelity, FlowId, GlobalStats, NodeId, NoopObserver, ScenarioConfig,
-    SimObserver, SimTime, Simulator,
+    DropCounts, Fidelity, FlowId, GlobalStats, NodeId, NoopObserver, ScenarioConfig, SimObserver,
+    SimTime, Simulator,
 };
-use cavenet_traffic::{CbrSink, CbrSource, FlowMetrics, TrafficRecorder};
+use cavenet_traffic::{CbrSink, CbrSource, FlowMetrics, SharedRecorder, TrafficRecorder};
 
 use crate::{Protocol, Scenario, ScenarioError, TraceMobility};
 
@@ -142,6 +142,73 @@ impl ExperimentResult {
     }
 }
 
+/// One scenario run in flight, under either fidelity.
+///
+/// [`Experiment::start`] builds one and [`Experiment::resume`] restores one
+/// from a snapshot. Every driver — [`Experiment::run`], the checkpoint
+/// loop, the campaign supervisor — holds a `Run` and advances it in
+/// virtual time; only these methods tell the two backends apart.
+#[derive(Debug)]
+pub enum Run<O: SimObserver> {
+    /// The per-frame DCF engine.
+    Exact {
+        /// The simulator, carrying the caller's observer.
+        sim: Box<Simulator<O>>,
+        /// The CBR traffic ledger the experiment's metrics come from.
+        recorder: SharedRecorder,
+    },
+    /// The flow-level fluid engine. It has no event stream, so the
+    /// observer passed to [`Experiment::start`] is not attached.
+    Fluid(Box<FluidEngine>),
+}
+
+impl<O: SimObserver> Run<O> {
+    /// Virtual time reached, in nanoseconds.
+    pub fn now_ns(&self) -> u64 {
+        match self {
+            Run::Exact { sim, .. } => sim.now().as_nanos(),
+            Run::Fluid(engine) => engine.now_ns(),
+        }
+    }
+
+    /// Virtual time at which `exp`'s run ends, in nanoseconds.
+    pub fn end_ns(&self, exp: &Experiment) -> u64 {
+        let sim_time = exp.scenario.sim_time;
+        match self {
+            Run::Exact { .. } => SimTime::from_secs_f64(sim_time.as_secs_f64()).as_nanos(),
+            Run::Fluid(_) => sim_time.as_nanos() as u64,
+        }
+    }
+
+    /// Advance to virtual time `target_ns`. The exact engine stops there;
+    /// the fluid engine moves in whole model steps (never past the end),
+    /// so it may stop later.
+    pub fn advance_until_ns(&mut self, target_ns: u64) {
+        match self {
+            Run::Exact { sim, .. } => sim.run_until(SimTime::from_nanos(target_ns)),
+            Run::Fluid(engine) => engine.run_until_ns(target_ns),
+        }
+    }
+
+    /// Work done so far: events dispatched by the exact engine, model
+    /// steps by the fluid one.
+    pub fn steps(&self) -> u64 {
+        match self {
+            Run::Exact { sim, .. } => sim.global_stats().events_processed,
+            Run::Fluid(engine) => engine.steps_done(),
+        }
+    }
+
+    /// The experiment's metrics at the run's current point (its final
+    /// result once the run has reached [`end_ns`](Self::end_ns)).
+    pub fn collect(&self, exp: &Experiment) -> ExperimentResult {
+        match self {
+            Run::Exact { sim, recorder } => exp.collect(sim, recorder),
+            Run::Fluid(engine) => exp.collect_fluid(engine),
+        }
+    }
+}
+
 /// Runs a [`Scenario`] through the full BA → CPS pipeline.
 #[derive(Debug, Clone)]
 pub struct Experiment {
@@ -169,48 +236,78 @@ impl Experiment {
     /// Returns [`ScenarioError`] when the scenario is inconsistent or its
     /// mobility model cannot be built.
     pub fn run(&self) -> Result<ExperimentResult, ScenarioError> {
+        let mut run = self.start(NoopObserver)?;
+        run.advance_until_ns(run.end_ns(self));
+        Ok(run.collect(self))
+    }
+
+    /// Generate mobility and build the scenario's engine under its
+    /// configured [`Fidelity`], ready to advance from time zero: the
+    /// simulator from [`build_sim`](Self::build_sim) carrying `observer`,
+    /// or the engine from [`build_fluid`](Self::build_fluid).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError`] when the scenario is inconsistent or its
+    /// mobility model cannot be built.
+    pub fn start<O: SimObserver>(&self, observer: O) -> Result<Run<O>, ScenarioError> {
         match self.scenario.fidelity {
-            Fidelity::Fluid => self.run_fluid().map(|(r, _)| r),
-            _ => self.run_with_observer(NoopObserver).map(|(r, _)| r),
+            Fidelity::Fluid => self
+                .build_fluid()
+                .map(|engine| Run::Fluid(Box::new(engine))),
+            _ => self.build_sim(observer).map(|(sim, recorder)| Run::Exact {
+                sim: Box::new(sim),
+                recorder,
+            }),
         }
     }
 
-    /// Like [`run`](Self::run), but attaches a [`SimObserver`] to the engine
-    /// and also returns the finished simulator, giving callers access to the
-    /// observer ([`Simulator::into_observer`]), per-node statistics and
+    /// The PHY/MAC configuration both backends run for this scenario.
+    fn net_config(&self) -> ScenarioConfig {
+        let mut config = ScenarioConfig {
+            propagation: self.scenario.propagation,
+            ..ScenarioConfig::default()
+        };
+        if self.scenario.rts_cts {
+            config.mac.rts_threshold = Some(0);
+        }
+        config
+    }
+
+    /// Like [`run`](Self::run) for an exact scenario, but attaches a
+    /// [`SimObserver`] to the engine and also returns the finished
+    /// simulator, giving callers access to the observer
+    /// ([`Simulator::into_observer`]), per-node statistics and
     /// routing-protocol state after the run. This is the entry point the
     /// conformance testkit uses for invariant checking and golden digests.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError`] when the scenario is inconsistent or its
-    /// mobility model cannot be built.
+    /// Returns [`ScenarioError`] when the scenario is inconsistent, its
+    /// mobility model cannot be built, or it selects [`Fidelity::Fluid`].
     pub fn run_with_observer<O: SimObserver>(
         &self,
         observer: O,
     ) -> Result<(ExperimentResult, Simulator<O>), ScenarioError> {
         let (mut sim, recorder) = self.build_sim(observer)?;
-        sim.run_until(cavenet_net::SimTime::from_secs_f64(
-            self.scenario.sim_time.as_secs_f64(),
-        ));
+        sim.run_until(SimTime::from_secs_f64(self.scenario.sim_time.as_secs_f64()));
         let result = self.collect(&sim, &recorder);
         Ok((result, sim))
     }
 
     /// Build the scenario's simulator (mobility trace, routing, CBR apps,
-    /// shared traffic recorder) without running it. This is the
-    /// construction half of [`run_with_observer`](Self::run_with_observer),
-    /// exposed so checkpointing can capture or restore a simulator at any
-    /// point between build and completion.
+    /// shared traffic recorder) without running it: the exact arm of
+    /// [`start`](Self::start).
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError`] when the scenario is inconsistent or its
-    /// mobility model cannot be built.
+    /// [`ScenarioError::WrongFidelity`] unless the scenario selects
+    /// [`Fidelity::Exact`]; otherwise [`ScenarioError`] when the scenario
+    /// is inconsistent or its mobility model cannot be built.
     pub fn build_sim<O: SimObserver>(
         &self,
         observer: O,
-    ) -> Result<(Simulator<O>, cavenet_traffic::SharedRecorder), ScenarioError> {
+    ) -> Result<(Simulator<O>, SharedRecorder), ScenarioError> {
         let s = &self.scenario;
         if s.fidelity != Fidelity::Exact {
             return Err(ScenarioError::WrongFidelity {
@@ -226,14 +323,7 @@ impl Experiment {
 
         let recorder = TrafficRecorder::new_shared();
         let protocol = s.protocol;
-        let mut config = ScenarioConfig {
-            propagation: s.propagation,
-            ..ScenarioConfig::default()
-        };
-        if s.rts_cts {
-            config.mac.rts_threshold = Some(0);
-        }
-        let mut builder = Simulator::builder(config)
+        let mut builder = Simulator::builder(self.net_config())
             .observer(observer)
             .nodes(s.nodes)
             .seed(s.seed)
@@ -260,12 +350,12 @@ impl Experiment {
     }
 
     /// Assemble the experiment's metrics from a finished (or mid-flight)
-    /// simulator and its traffic recorder — the collection half of
-    /// [`run_with_observer`](Self::run_with_observer).
+    /// simulator and its traffic recorder: the exact arm of
+    /// [`Run::collect`].
     pub fn collect<O: SimObserver>(
         &self,
         sim: &Simulator<O>,
-        recorder: &cavenet_traffic::SharedRecorder,
+        recorder: &SharedRecorder,
     ) -> ExperimentResult {
         let s = &self.scenario;
         let rec = recorder.borrow();
@@ -310,9 +400,8 @@ impl Experiment {
     }
 
     /// Build the scenario's fluid engine (mobility trace, flow table,
-    /// analytic backend) without running it — the fluid counterpart of
-    /// [`build_sim`](Self::build_sim), exposed for checkpointing and the
-    /// fidelity benches.
+    /// PHY/MAC configuration) without running it: the fluid arm of
+    /// [`start`](Self::start).
     ///
     /// # Errors
     ///
@@ -328,14 +417,6 @@ impl Experiment {
         }
         s.validate()?;
         let trace = s.build_trace()?;
-        // The very parameterization the exact engine would run.
-        let mut config = ScenarioConfig {
-            propagation: s.propagation,
-            ..ScenarioConfig::default()
-        };
-        if s.rts_cts {
-            config.mac.rts_threshold = Some(0);
-        }
         let (discipline, control_pps_per_node, control_payload_bytes) =
             fluid_routing_model(s.protocol);
         let flows = s
@@ -352,7 +433,8 @@ impl Experiment {
             nodes: s.nodes as u32,
             sim_time: s.sim_time,
             step: Duration::from_secs(1),
-            backend: ExactBackend::from(&config),
+            // The very parameterization the exact engine would run.
+            net: self.net_config(),
             discipline,
             control_pps_per_node,
             control_payload_bytes,
@@ -361,21 +443,8 @@ impl Experiment {
         FluidEngine::new(cfg, trace).map_err(ScenarioError::Fluid)
     }
 
-    /// Run the scenario under the fluid backend and collect metrics; also
-    /// returns the finished engine (for its digest and report).
-    ///
-    /// # Errors
-    ///
-    /// See [`build_fluid`](Self::build_fluid).
-    pub fn run_fluid(&self) -> Result<(ExperimentResult, FluidEngine), ScenarioError> {
-        let mut engine = self.build_fluid()?;
-        engine.run_to_end();
-        let result = self.collect_fluid(&engine);
-        Ok((result, engine))
-    }
-
     /// Assemble experiment metrics from a (finished or mid-flight) fluid
-    /// engine — the fluid counterpart of [`collect`](Self::collect). Flow
+    /// engine: the fluid arm of [`Run::collect`]. Flow
     /// metrics are exact in shape; engine-level counters (`global`,
     /// control totals) are the model's analytic estimates, and `drops`
     /// stays empty (the fluid model has no per-packet drop ledger).
@@ -594,7 +663,13 @@ mod tests {
         let fluid = |seed| {
             let mut s = quick_scenario(Protocol::Aodv, seed);
             s.fidelity = Fidelity::Fluid;
-            Experiment::new(s).run_fluid().unwrap()
+            let exp = Experiment::new(s);
+            let mut run = exp.start(NoopObserver).unwrap();
+            run.advance_until_ns(run.end_ns(&exp));
+            let Run::Fluid(engine) = run else {
+                panic!("a fluid scenario must start a fluid run");
+            };
+            (exp.collect_fluid(&engine), engine)
         };
         let (ra, ea) = fluid(7);
         let (rb, eb) = fluid(7);

@@ -37,7 +37,7 @@ mod resilience;
 mod scenario;
 
 pub use checkpointing::{scenario_identity, Campaign, CheckpointError, CheckpointPlan, Lineage};
-pub use experiment::{Experiment, ExperimentResult, SenderReport};
+pub use experiment::{Experiment, ExperimentResult, Run, SenderReport};
 pub use mobility_adapter::TraceMobility;
 pub use protocol::Protocol;
 pub use resilience::{

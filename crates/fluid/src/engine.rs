@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use cavenet_mobility::{MobilityTrace, Point2};
-use cavenet_net::{ChannelBackend, MacBackend, WireError, WireReader, WireWriter};
+use cavenet_net::{dcf, WireError, WireReader, WireWriter};
 use cavenet_rng::fnv::{fnv64, Fnv64};
 
 use crate::field::Field;
@@ -143,10 +143,14 @@ impl FluidEngine {
         for id in 0..cfg.nodes {
             trace.position_at(id as usize, 0.0)?;
         }
-        let rx_range = cfg.backend.rx_range();
+        let rx_range = cfg.net.phy.effective_range(cfg.net.propagation);
         // An unbounded carrier-sense model (shadowing) degrades to twice
         // the reception range for contention purposes.
-        let cs_range = cfg.backend.carrier_sense_cutoff().unwrap_or(2.0 * rx_range);
+        let cs_range = cfg
+            .net
+            .phy
+            .carrier_sense_cutoff(cfg.net.propagation)
+            .unwrap_or(2.0 * rx_range);
         let end_ns = cfg.sim_time.as_nanos() as u64;
         let step_ns = cfg.step.as_nanos() as u64;
         let total_steps = end_ns.div_ceil(step_ns);
@@ -249,9 +253,10 @@ impl FluidEngine {
         let mut field = Field::bin(&positions, self.cell, self.cs_range);
 
         // 2. Background routing-control load, everywhere.
-        let b = &self.cfg.backend;
-        let ctl_air = b
-            .control_airtime(self.cfg.control_payload_bytes + b.data_overhead_bytes())
+        let net = &self.cfg.net;
+        let ctl_air = net
+            .phy
+            .control_frame_duration(self.cfg.control_payload_bytes + net.mac.data_overhead_bytes())
             .as_secs_f64();
         if self.cfg.control_pps_per_node > 0.0 {
             for c in 0..field.len() {
@@ -326,7 +331,11 @@ impl FluidEngine {
 
         // 5. Data load along each active route. Each flow's deposits are
         //    also kept per flow so its own closure can subtract them.
-        let payload_air = |size: u32| b.data_airtime(size + b.data_overhead_bytes()).as_secs_f64();
+        let payload_air = |size: u32| {
+            net.phy
+                .data_frame_duration(size + net.mac.data_overhead_bytes())
+                .as_secs_f64()
+        };
         let mut deposits: Vec<Vec<(u32, f64)>> = vec![Vec::new(); self.cfg.flows.len()];
         for (i, f) in self.cfg.flows.iter().enumerate() {
             let Some((cells, _)) = &routes[i] else {
@@ -336,7 +345,10 @@ impl FluidEngine {
             match self.cfg.discipline {
                 RouteDiscipline::Unicast => {
                     let exchange = payload_air(f.cbr.packet_size)
-                        + b.control_airtime(b.ack_size_bytes()).as_secs_f64();
+                        + net
+                            .phy
+                            .control_frame_duration(net.mac.ack_size_bytes)
+                            .as_secs_f64();
                     for &c in cells {
                         field.load[c as usize] += rate * exchange;
                         deposits[i].push((c, rate * exchange));
@@ -380,8 +392,9 @@ impl FluidEngine {
                     match self.cfg.discipline {
                         RouteDiscipline::Unicast => {
                             let p = mean_u.min(P_CAP_UNICAST);
-                            let per_hop = b.unicast_delivery_probability(p);
-                            let delay = b.unicast_service_time(f.cbr.packet_size, p).as_secs_f64()
+                            let per_hop = dcf::unicast_delivery_probability(net, p);
+                            let delay = dcf::unicast_service_time(net, f.cbr.packet_size, p)
+                                .as_secs_f64()
                                 * f64::from(*hops);
                             (per_hop.powi(*hops as i32) * capacity, delay)
                         }
@@ -401,8 +414,8 @@ impl FluidEngine {
                                 .sum::<f64>();
                             let redundancy = (cover / cells.len() as f64).clamp(1.0, 4.0);
                             let per_hop = 1.0 - p.powf(redundancy);
-                            let hop_time = b.difs().as_secs_f64()
-                                + b.mean_backoff(p).as_secs_f64()
+                            let hop_time = net.mac.difs.as_secs_f64()
+                                + dcf::mean_backoff(net, p).as_secs_f64()
                                 + payload_air(f.cbr.packet_size);
                             (
                                 per_hop.powi(*hops as i32) * capacity,
@@ -472,7 +485,7 @@ impl FluidEngine {
             c.discipline,
             c.control_pps_per_node.to_bits(),
             c.control_payload_bytes,
-            c.backend,
+            c.net,
         );
         for f in &c.flows {
             s.push_str(&format!(

@@ -2,9 +2,8 @@
 //!
 //! The exact engine (`cavenet-net`) plays every frame of 802.11 DCF out
 //! event by event; at 10k+ nodes that costs seconds of wall time per
-//! simulated second. This crate is the *fluid* fidelity behind the
-//! [`ChannelBackend`]/[`MacBackend`] seam: a deterministic, time-stepped,
-//! flow-level model that answers the same experiment questions (per-flow
+//! simulated second. This crate is the *fluid* fidelity: a deterministic,
+//! time-stepped, flow-level model that answers the same experiment questions (per-flow
 //! PDR, goodput series, delay) 100–1000x faster, at the price of a bounded
 //! approximation error that `cavenet-bench`'s `fidelity_report` measures
 //! and commits.
@@ -26,12 +25,12 @@
 //! 4. computes per-cell channel utilization `U` as the load integral over
 //!    the carrier-sense neighborhood, and maps it to a conditional
 //!    collision probability `p ≈ min(U, cap)` — the *unsaturated* regime
-//!    closure (Table-1 CBR loads sit far below Bianchi saturation; the
-//!    saturation fixed point remains available on [`MacBackend`] for
-//!    saturated analyses);
-//! 5. closes each flow analytically with the [`MacBackend`] provided
-//!    methods: per-hop delivery within the retry budget, per-hop service
-//!    time, and a `1/U` capacity clip when a neighborhood is overloaded.
+//!    closure (Table-1 CBR loads sit far below Bianchi saturation, so
+//!    [`dcf::saturation_fixed_point`] is not used here);
+//! 5. closes each flow analytically with the [`dcf`] closed forms over
+//!    the scenario's own [`ScenarioConfig`]: per-hop delivery within the
+//!    retry budget, per-hop service time, and a `1/U` capacity clip when a
+//!    neighborhood is overloaded.
 //!
 //! Packet emissions are counted *exactly* (integer CBR arithmetic on the
 //! same nanosecond grid the exact engine uses); deliveries accumulate as
@@ -44,12 +43,14 @@
 //! [`FluidEngine::capture`]/[`FluidEngine::restore`] serialize the full
 //! dynamic state (step counter, per-flow accumulators, digest) through the
 //! same `WireWriter` vocabulary the exact engine's snapshot sections use;
-//! `cavenet-core` wraps them in a dedicated snapshot section so fluid runs
-//! participate in the checkpoint/resume/campaign machinery. Resume
+//! `cavenet-core` wraps them in a dedicated snapshot section, and its
+//! `Run` value drives a fluid engine through the same
+//! checkpoint/resume/campaign machinery as an exact simulator. Resume
 //! granularity is the step boundary.
 //!
-//! [`ChannelBackend`]: cavenet_net::ChannelBackend
-//! [`MacBackend`]: cavenet_net::MacBackend
+//! [`dcf`]: cavenet_net::dcf
+//! [`dcf::saturation_fixed_point`]: cavenet_net::dcf::saturation_fixed_point
+//! [`ScenarioConfig`]: cavenet_net::ScenarioConfig
 //! [`MobilityTrace`]: cavenet_mobility::MobilityTrace
 
 #![forbid(unsafe_code)]
@@ -64,7 +65,7 @@ pub use field::Field;
 use std::time::Duration;
 
 use cavenet_mobility::MobilityError;
-use cavenet_net::ExactBackend;
+use cavenet_net::ScenarioConfig;
 use cavenet_traffic::CbrConfig;
 
 /// One CBR flow for the fluid model: source, destination and the same
@@ -101,28 +102,29 @@ pub struct FluidConfig {
     pub sim_time: Duration,
     /// Model step (default 1 s; the last step may be partial).
     pub step: Duration,
-    /// PHY/MAC parameterization — the *same* backend the exact engine runs.
-    pub backend: ExactBackend,
+    /// PHY/MAC parameterization — the *same* configuration the exact
+    /// engine runs.
+    pub net: ScenarioConfig,
     /// Data forwarding abstraction.
     pub discipline: RouteDiscipline,
     /// Periodic routing control load per node (packets/s); 0 for flooding.
     pub control_pps_per_node: f64,
     /// Control packet payload size in bytes (headers are added from the
-    /// backend's overhead figures).
+    /// MAC's overhead figures).
     pub control_payload_bytes: u32,
     /// The CBR flows.
     pub flows: Vec<FluidFlow>,
 }
 
 impl FluidConfig {
-    /// A minimal valid configuration over the ns-2 default backend with no
+    /// A minimal valid configuration over the ns-2 default PHY/MAC with no
     /// flows; callers fill in `nodes`, `flows` and the discipline.
     pub fn ns2_default(nodes: u32, sim_time: Duration) -> Self {
         FluidConfig {
             nodes,
             sim_time,
             step: Duration::from_secs(1),
-            backend: ExactBackend::ns2_default(),
+            net: ScenarioConfig::default(),
             discipline: RouteDiscipline::Unicast,
             control_pps_per_node: 1.0,
             control_payload_bytes: 48,

@@ -43,6 +43,7 @@ mod api;
 pub mod backend;
 pub mod calq;
 mod channel;
+pub mod dcf;
 mod error;
 mod fault;
 mod grid;
@@ -63,7 +64,7 @@ mod time;
 mod traits;
 
 pub use api::NodeApi;
-pub use backend::{ChannelBackend, ExactBackend, Fidelity, MacBackend};
+pub use backend::Fidelity;
 pub use calq::CalendarQueue;
 pub use channel::{Channel, Transmission};
 pub use error::NetError;

@@ -79,6 +79,13 @@ impl Default for MacParams {
     }
 }
 
+impl MacParams {
+    /// Network + MAC header overhead added to every data payload (bytes).
+    pub fn data_overhead_bytes(&self) -> u32 {
+        self.ip_overhead_bytes + self.mac_overhead_bytes
+    }
+}
+
 /// Counters the MAC maintains (per node).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MacStats {
@@ -457,7 +464,7 @@ impl Mac {
 
     /// Total air size of a data frame for `packet`.
     fn frame_size(&self, packet: &Packet) -> u32 {
-        packet.size_bytes + self.params.ip_overhead_bytes + self.params.mac_overhead_bytes
+        packet.size_bytes + self.params.data_overhead_bytes()
     }
 
     /// Accept a packet from the network layer for transmission to

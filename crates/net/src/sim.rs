@@ -6,7 +6,6 @@ use std::time::Duration;
 use cavenet_rng::SimRng;
 
 use crate::api::{ApiKind, NodeApi};
-use crate::backend::{ChannelBackend, MacBackend};
 use crate::calq::CalendarQueue;
 use crate::channel::Channel;
 use crate::error::NetError;
@@ -445,9 +444,9 @@ impl<O: SimObserver> SimulatorBuilder<O> {
             apps[i] = Some(app);
         }
         let cutoff = if self.neighbor_grid {
-            // Through the backend seam: identical to calling the raw
-            // `PhyParams` function (the exact backend delegates).
-            ChannelBackend::carrier_sense_cutoff(&self.config)
+            self.config
+                .phy
+                .carrier_sense_cutoff(self.config.propagation)
         } else {
             None
         };
@@ -1119,9 +1118,9 @@ impl<O: SimObserver> Simulator<O> {
     fn start_transmission(&mut self, idx: usize, frame: Frame) {
         let now = self.kernel.now;
         let duration = if frame.kind.is_control() {
-            MacBackend::control_airtime(&self.config, frame.size_bytes)
+            self.config.phy.control_frame_duration(frame.size_bytes)
         } else {
-            MacBackend::data_airtime(&self.config, frame.size_bytes)
+            self.config.phy.data_frame_duration(frame.size_bytes)
         };
         let end = now + duration;
 
@@ -1201,7 +1200,7 @@ impl<O: SimObserver> Simulator<O> {
                         continue;
                     }
                 }
-                let delay = ChannelBackend::propagation_delay(&self.config, d);
+                let delay = self.config.phy.propagation_delay(d);
                 self.kernel.schedule(
                     now + delay,
                     Event::RxStart {

@@ -32,8 +32,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Once};
 use std::time::{Duration, Instant};
 
-use cavenet_checkpoint::{store, Snapshot};
-use cavenet_core::{Experiment, Fidelity, Lineage, Scenario};
+use cavenet_checkpoint::store;
+use cavenet_core::{CheckpointError, Experiment, Lineage, Run, Scenario};
 use cavenet_net::{
     CancelSignal, EventKind, ProgressHandle, ProgressProbe, SimObserver, SimTime, TrialCancelled,
 };
@@ -950,18 +950,20 @@ fn classify_panic(payload: &(dyn std::any::Any + Send), handle: &ProgressHandle)
 }
 
 /// Run one attempt: resume from the newest readable checkpoint (falling
-/// back past corrupt files, cold when none applies), then drive the
-/// simulation in checkpoint-interval slices, honouring shutdown at slice
-/// boundaries, and finalize the golden digest exactly like an
-/// unsupervised digest run.
+/// back past corrupt files, cold when none applies), then drive the run in
+/// checkpoint-interval slices, honouring shutdown at slice boundaries.
+///
+/// The backends differ only at two points. An exact run heartbeats from
+/// the probe in its observer stack and finalizes the golden digest exactly
+/// like an unsupervised digest run. A fluid run has no event stream to
+/// probe (chaos and stream observers do not apply): it heartbeats once
+/// per slice, and its digest is the engine's step digest, with `events`
+/// counting model steps.
 fn drive_trial(
     config: &ServerConfig,
     job: &Job,
     handle: &ProgressHandle,
 ) -> Result<AttemptResult, TrialFailure> {
-    if job.scenario.fidelity == Fidelity::Fluid {
-        return drive_fluid_trial(config, job, handle);
-    }
     let checkpoint = |message: String| TrialFailure::Checkpoint { message };
     let exp = Experiment::new(job.scenario.clone());
     let dir = config.checkpoint_root.join(job.key.dir_name());
@@ -979,153 +981,59 @@ fn drive_trial(
         handle.probe(config.heartbeat_stride),
         Tee(chaos, Tee(stream, GoldenDigest::new())),
     );
-
-    let mut lineage = Lineage::default();
-    let mut restored = None;
-    let listing = store::list_newest_first(&dir).map_err(|e| checkpoint(e.to_string()))?;
-    for path in listing {
-        let Ok(bytes) = std::fs::read(&path) else {
-            continue;
-        };
-        let Ok(snap) = Snapshot::from_bytes(&bytes) else {
-            continue;
-        };
-        if let Ok((sim, recorder, meta)) = exp.resume_from_snapshot(observer.clone(), &snap) {
-            lineage = Lineage {
-                parent_snapshot_hash: snap.container_hash(),
-                resume_step: meta.step,
-            };
-            restored = Some((sim, recorder));
-            break;
-        }
-    }
-    let (mut sim, recorder) = match restored {
-        Some(pair) => pair,
-        None => exp
-            .build_sim(observer)
-            .map_err(|e| TrialFailure::Scenario {
-                message: e.to_string(),
-            })?,
-    };
+    let (mut run, lineage) = exp.resume_latest(observer, &dir).map_err(|e| match e {
+        CheckpointError::Scenario(e) => TrialFailure::Scenario {
+            message: e.to_string(),
+        },
+        e => checkpoint(e.to_string()),
+    })?;
+    let mut slice_probe = handle.probe(1);
 
     let every = (config.checkpoint_every.as_nanos().min(u128::from(u64::MAX)) as u64).max(1);
-    let end = SimTime::from_secs_f64(job.scenario.sim_time.as_secs_f64()).as_nanos();
+    let end = run.end_ns(&exp);
     loop {
-        let now = sim.now().as_nanos();
+        let now = run.now_ns();
         if now >= end {
             break;
         }
         if handle.signal() == CancelSignal::Shutdown {
-            let snap = exp
-                .snapshot_now(&sim, &recorder)
-                .map_err(|e| checkpoint(e.to_string()))?;
+            let snap = run.snapshot(&exp).map_err(|e| checkpoint(e.to_string()))?;
             store::write_snapshot(&dir, now, &snap).map_err(|e| checkpoint(e.to_string()))?;
             return Ok(AttemptResult::Interrupted);
         }
         let target = now.saturating_add(every - now % every).min(end);
-        sim.run_until(SimTime::from_nanos(target));
-        let snap = exp
-            .snapshot_now(&sim, &recorder)
-            .map_err(|e| checkpoint(e.to_string()))?;
-        store::write_snapshot(&dir, sim.now().as_nanos(), &snap)
-            .map_err(|e| checkpoint(e.to_string()))?;
-    }
-
-    // Finalize exactly like `cavenet_testkit::digest_scenario`: fold the
-    // final global and per-node statistics into the stream digest.
-    let global = sim.global_stats();
-    let per_node: Vec<_> = (0..job.scenario.nodes)
-        .map(|i| (sim.node_stats(i), sim.mac_stats(i)))
-        .collect();
-    let Tee(_probe, Tee(_chaos, Tee(mut stream, mut digest))) = sim.into_observer();
-    // Flush the final registry so the feed's tail equals the trial's
-    // completed totals.
-    stream.finish_and_publish();
-    digest.absorb_stats(&global);
-    for (i, (ns, ms)) in per_node.iter().enumerate() {
-        digest.absorb_node(i, ns, ms);
-    }
-    Ok(AttemptResult::Completed {
-        digest: digest.value(),
-        events: digest.events(),
-        lineage,
-    })
-}
-
-/// Fluid-fidelity analog of the exact drive loop: the same
-/// checkpoint-interval slicing, shutdown handling, corrupt-checkpoint
-/// fallback and lineage, but the golden digest is the fluid engine's
-/// deterministic step digest, `events` counts model steps, and heartbeats
-/// are published once per slice (there is no event stream to probe, and
-/// chaos/stream observers do not apply).
-fn drive_fluid_trial(
-    config: &ServerConfig,
-    job: &Job,
-    handle: &ProgressHandle,
-) -> Result<AttemptResult, TrialFailure> {
-    let checkpoint = |message: String| TrialFailure::Checkpoint { message };
-    let exp = Experiment::new(job.scenario.clone());
-    let dir = config.checkpoint_root.join(job.key.dir_name());
-    let mut probe = handle.probe(1);
-
-    let mut lineage = Lineage::default();
-    let mut restored = None;
-    let listing = store::list_newest_first(&dir).map_err(|e| checkpoint(e.to_string()))?;
-    for path in listing {
-        let Ok(bytes) = std::fs::read(&path) else {
-            continue;
-        };
-        let Ok(snap) = Snapshot::from_bytes(&bytes) else {
-            continue;
-        };
-        if let Ok((engine, meta)) = exp.resume_fluid_from_snapshot(&snap) {
-            lineage = Lineage {
-                parent_snapshot_hash: snap.container_hash(),
-                resume_step: meta.step,
-            };
-            restored = Some(engine);
-            break;
+        run.advance_until_ns(target);
+        if matches!(run, Run::Fluid(_)) {
+            // One heartbeat per slice, doubling as the stall-cancellation
+            // point (mirrors the probe's in-stream beats on the exact path).
+            slice_probe.on_event_dispatched(
+                SimTime::from_nanos(run.now_ns()),
+                run.steps(),
+                0,
+                EventKind::MacTimer,
+            );
+            slice_probe.beat();
         }
+        let snap = run.snapshot(&exp).map_err(|e| checkpoint(e.to_string()))?;
+        store::write_snapshot(&dir, run.now_ns(), &snap).map_err(|e| checkpoint(e.to_string()))?;
     }
-    let mut engine = match restored {
-        Some(engine) => engine,
-        None => exp.build_fluid().map_err(|e| TrialFailure::Scenario {
-            message: e.to_string(),
-        })?,
+
+    let (digest, events) = match run {
+        Run::Exact { sim, .. } => {
+            let Tee(_, Tee(_, Tee(_, digest))) = sim.observer();
+            let mut digest = digest.clone();
+            digest.absorb_final(&sim);
+            // Flush the final registry so the feed's tail equals the
+            // trial's completed totals.
+            let Tee(_, Tee(_, Tee(mut stream, _))) = sim.into_observer();
+            stream.finish_and_publish();
+            (digest.value(), digest.events())
+        }
+        Run::Fluid(engine) => (engine.digest(), engine.steps_done()),
     };
-
-    let every = (config.checkpoint_every.as_nanos().min(u128::from(u64::MAX)) as u64).max(1);
-    while !engine.finished() {
-        if handle.signal() == CancelSignal::Shutdown {
-            let snap = exp
-                .snapshot_fluid(&engine)
-                .map_err(|e| checkpoint(e.to_string()))?;
-            store::write_snapshot(&dir, engine.now_ns(), &snap)
-                .map_err(|e| checkpoint(e.to_string()))?;
-            return Ok(AttemptResult::Interrupted);
-        }
-        let now = engine.now_ns();
-        let target = now.saturating_add(every - now % every);
-        engine.run_until_ns(target);
-        // One heartbeat per slice, doubling as the stall-cancellation
-        // point (mirrors the probe's in-stream beats on the exact path).
-        probe.on_event_dispatched(
-            SimTime::from_nanos(engine.now_ns()),
-            engine.steps_done(),
-            0,
-            EventKind::MacTimer,
-        );
-        probe.beat();
-        let snap = exp
-            .snapshot_fluid(&engine)
-            .map_err(|e| checkpoint(e.to_string()))?;
-        store::write_snapshot(&dir, engine.now_ns(), &snap)
-            .map_err(|e| checkpoint(e.to_string()))?;
-    }
-
     Ok(AttemptResult::Completed {
-        digest: engine.digest(),
-        events: engine.steps_done(),
+        digest,
+        events,
         lineage,
     })
 }
@@ -1133,7 +1041,7 @@ fn drive_fluid_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cavenet_core::{Protocol, Scenario};
+    use cavenet_core::{Fidelity, Protocol, Scenario};
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cavenet_srv_{}_{tag}", std::process::id()));
@@ -1214,15 +1122,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Digest and step count of an unsupervised straight fluid run.
+    fn straight_fluid(exp: &Experiment) -> (u64, u64) {
+        let mut run = exp.start(cavenet_net::NoopObserver).unwrap();
+        run.advance_until_ns(run.end_ns(exp));
+        let Run::Fluid(engine) = run else {
+            panic!("a fluid scenario must start a fluid run");
+        };
+        (engine.digest(), engine.steps_done())
+    }
+
     #[test]
     fn fluid_trials_run_under_supervision_and_stamp_their_backend() {
         let dir = scratch("fluid");
         let mut scenario = tiny_scenario(9);
         scenario.fidelity = Fidelity::Fluid;
         // Reference digest from an unsupervised straight run.
-        let exp = Experiment::new(scenario.clone());
-        let (_result, engine) = exp.run_fluid().unwrap();
-        let expected = engine.digest();
+        let (expected, steps) = straight_fluid(&Experiment::new(scenario.clone()));
 
         let server = CampaignServer::start(quick_config(dir.clone())).unwrap();
         server.submit(scenario).unwrap();
@@ -1233,7 +1149,7 @@ mod tests {
         match &trial.outcome {
             TrialOutcome::Completed { digest, events, .. } => {
                 assert_eq!(*digest, expected, "supervised fluid digest diverged");
-                assert_eq!(*events, engine.steps_done());
+                assert_eq!(*events, steps);
             }
             other => panic!("expected completion, got {other:?}"),
         }
@@ -1249,6 +1165,47 @@ mod tests {
         server.submit(tiny_scenario(9)).unwrap();
         let report = server.finish().unwrap();
         assert_eq!(report.trials[0].backend, "exact");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fluid_trial_resumes_past_a_truncated_checkpoint() {
+        let dir = scratch("fluid_truncated");
+        let mut scenario = tiny_scenario(10);
+        scenario.fidelity = Fidelity::Fluid;
+        let exp = Experiment::new(scenario.clone());
+        let straight = straight_fluid(&exp);
+
+        // Seed the trial's store with checkpoints at 4, 8 and 12 s, then
+        // truncate the newest: the trial must fall back to the 8 s one.
+        let config = quick_config(dir.clone());
+        let plan = cavenet_core::CheckpointPlan {
+            every: config.checkpoint_every,
+            dir: dir.join(TrialKey::of(&scenario).dir_name()),
+        };
+        exp.run_with_checkpoints(cavenet_net::NoopObserver, &plan)
+            .unwrap();
+        let files = store::list_newest_first(&plan.dir).unwrap();
+        assert_eq!(files.len(), 3);
+        let newest = std::fs::read(&files[0]).unwrap();
+        std::fs::write(&files[0], &newest[..newest.len() / 2]).unwrap();
+
+        let server = CampaignServer::start(config).unwrap();
+        server.submit(scenario).unwrap();
+        let report = server.finish().unwrap();
+        match &report.trials[0].outcome {
+            TrialOutcome::Completed {
+                digest,
+                events,
+                lineage,
+                ..
+            } => {
+                assert_eq!((*digest, *events), straight, "resumed fluid trial diverged");
+                assert!(!lineage.is_cold(), "the 8 s checkpoint must restore");
+                assert_eq!(lineage.resume_step, 8, "resumed at the 8 s step");
+            }
+            other => panic!("expected completion, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

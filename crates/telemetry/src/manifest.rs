@@ -11,13 +11,10 @@ use crate::json::Json;
 /// Version stamped into every manifest as `"manifest_version"`.
 pub const MANIFEST_SCHEMA_VERSION: u64 = 1;
 
-/// 64-bit FNV-1a over a byte string — the workspace's shared
-/// implementation ([`cavenet_rng::fnv`]), the same constants the
-/// conformance testkit's golden digests and the checkpoint section hashes
-/// use, so hashes are stable across platforms and subsystems.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    cavenet_rng::fnv::fnv64(bytes)
-}
+// The workspace's one FNV-1a, shared with the golden digests and the
+// checkpoint section hashes, so manifest hashes are stable across
+// platforms and subsystems.
+pub use cavenet_rng::fnv::fnv64;
 
 /// Calibrated accuracy bounds of a reduced-fidelity backend, measured
 /// against the exact engine on the fidelity-report fixture classes.
@@ -352,13 +349,6 @@ pub fn base_crate_versions() -> Vec<(String, String)> {
 mod tests {
     use super::*;
     use crate::json::parse;
-
-    #[test]
-    fn fnv64_matches_reference_vectors() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        // FNV-1a("a") — standard test vector.
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
 
     #[test]
     fn manifest_round_trips_and_validates() {

@@ -26,7 +26,7 @@ pub fn digest_scenario(scenario: &Scenario) -> RunDigest {
     let (result, sim) = Experiment::new(scenario.clone())
         .run_with_observer(GoldenDigest::new())
         .expect("scenario must run");
-    let (digest, events) = finish_digest(sim, scenario.nodes);
+    let (digest, events) = finish_digest(&sim);
     RunDigest {
         digest,
         events,
@@ -34,19 +34,12 @@ pub fn digest_scenario(scenario: &Scenario) -> RunDigest {
     }
 }
 
-/// Fold the final global and per-node statistics of a finished `sim` of
-/// `nodes` nodes into its [`GoldenDigest`], exactly as [`digest_scenario`]
-/// does, and return `(digest, events)`.
-pub fn finish_digest(sim: Simulator<GoldenDigest>, nodes: usize) -> (u64, u64) {
-    let global = sim.global_stats();
-    let per_node: Vec<_> = (0..nodes)
-        .map(|i| (sim.node_stats(i), sim.mac_stats(i)))
-        .collect();
-    let mut digest = sim.into_observer();
-    digest.absorb_stats(&global);
-    for (i, (ns, ms)) in per_node.iter().enumerate() {
-        digest.absorb_node(i, ns, ms);
-    }
+/// Fold the final global and per-node statistics of a finished `sim`
+/// into its [`GoldenDigest`], exactly as [`digest_scenario`] does, and
+/// return `(digest, events)`.
+pub fn finish_digest(sim: &Simulator<GoldenDigest>) -> (u64, u64) {
+    let mut digest = sim.observer().clone();
+    digest.absorb_final(sim);
     (digest.value(), digest.events())
 }
 

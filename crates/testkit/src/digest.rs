@@ -2,7 +2,7 @@
 
 use cavenet_net::{
     DropReason, EventKind, FaultKind, Frame, FrameDropReason, GlobalStats, MacState, MacStats,
-    NodeId, NodeStats, SimObserver, SimTime,
+    NodeId, NodeStats, SimObserver, SimTime, Simulator,
 };
 use cavenet_rng::fnv::Fnv64;
 
@@ -148,6 +148,15 @@ impl GoldenDigest {
         self.absorb_u64(ms.overheard);
         self.absorb_u64(ms.rts_tx);
         self.absorb_u64(ms.cts_tx);
+    }
+
+    /// Fold a finished simulator's final global and per-node statistics —
+    /// the closing step of every golden-digest run.
+    pub fn absorb_final<O: SimObserver>(&mut self, sim: &Simulator<O>) {
+        self.absorb_stats(&sim.global_stats());
+        for i in 0..sim.node_count() {
+            self.absorb_node(i, &sim.node_stats(i), &sim.mac_stats(i));
+        }
     }
 }
 

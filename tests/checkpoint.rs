@@ -17,8 +17,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use cavenet_core::checkpoint::{section, Snapshot, SnapshotError};
-use cavenet_core::net::SimTime;
-use cavenet_core::{churn_plan, CheckpointError, Experiment, Fidelity, Protocol, Scenario};
+use cavenet_core::net::{NoopObserver, SimTime};
+use cavenet_core::{churn_plan, CheckpointError, Experiment, Fidelity, Protocol, Run, Scenario};
 use cavenet_testkit::{
     assert_identity_semantics, bisect_divergence, check_golden, digest_scenario, finish_digest,
     GoldenDigest,
@@ -63,7 +63,7 @@ fn resumed_digest(s: &Scenario, at: Duration) -> (u64, u64) {
         SimTime::from_secs_f64(at.as_secs_f64()).as_nanos()
     );
     sim.run_until(SimTime::from_secs_f64(s.sim_time.as_secs_f64()));
-    finish_digest(sim, s.nodes)
+    finish_digest(&sim)
 }
 
 #[test]
@@ -146,10 +146,7 @@ fn double_resume_is_still_bit_identical() {
         .unwrap();
     assert_eq!(meta.time_ns, SimTime::from_secs(10).as_nanos());
     sim.run_until(end);
-    assert_eq!(
-        finish_digest(sim, s.nodes),
-        (straight.digest, straight.events)
-    );
+    assert_eq!(finish_digest(&sim), (straight.digest, straight.events));
 }
 
 #[test]
@@ -166,20 +163,34 @@ fn fluid_scenario(protocol: Protocol, seed: u64) -> Scenario {
     s
 }
 
+/// Run `run` to the end of `exp` and return the fluid engine's
+/// `(digest, steps)`.
+fn finish_fluid(exp: &Experiment, mut run: Run<NoopObserver>) -> (u64, u64) {
+    run.advance_until_ns(run.end_ns(exp));
+    let Run::Fluid(engine) = run else {
+        panic!("a fluid scenario must run the fluid engine");
+    };
+    (engine.digest(), engine.steps_done())
+}
+
 /// Run the fluid engine `0 → at`, snapshot, keep only the bytes, restore
 /// into a fresh engine and run `at → end`. Returns `(digest, steps)`.
 fn fluid_resumed_digest(s: &Scenario, at: Duration) -> (u64, u64) {
     let exp = Experiment::new(s.clone());
-    let mut engine = exp.build_fluid().unwrap();
-    engine.run_until_ns(at.as_nanos() as u64);
-    let bytes = exp.snapshot_fluid(&engine).unwrap().to_bytes();
-    drop(engine); // nothing but `bytes` crosses the "process boundary"
+    let mut run = exp.start(NoopObserver).unwrap();
+    run.advance_until_ns(at.as_nanos() as u64);
+    let bytes = run.snapshot(&exp).unwrap().to_bytes();
+    drop(run); // nothing but `bytes` crosses the "process boundary"
 
     let snap = Snapshot::from_bytes(&bytes).unwrap();
-    let (mut engine, meta) = exp.resume_fluid_from_snapshot(&snap).unwrap();
+    let (run, meta) = exp.resume(NoopObserver, &snap).unwrap();
     assert_eq!(meta.time_ns, at.as_nanos() as u64);
-    engine.run_to_end();
-    (engine.digest(), engine.steps_done())
+    assert_eq!(
+        (run.now_ns(), run.steps()),
+        (meta.time_ns, meta.step),
+        "the restored engine must continue from the capture point"
+    );
+    finish_fluid(&exp, run)
 }
 
 #[test]
@@ -189,14 +200,14 @@ fn fluid_resume_is_bit_identical_for_every_protocol() {
     // the uninterrupted fluid run.
     for protocol in PROTOCOLS {
         let s = fluid_scenario(protocol, 11);
-        let (_, straight) = Experiment::new(s.clone()).run_fluid().unwrap();
-        let (digest, steps) = fluid_resumed_digest(&s, Duration::from_secs(7));
+        let exp = Experiment::new(s.clone());
+        let straight = finish_fluid(&exp, exp.start(NoopObserver).unwrap());
+        let resumed = fluid_resumed_digest(&s, Duration::from_secs(7));
         assert_eq!(
-            (digest, steps),
-            (straight.digest(), straight.steps_done()),
+            resumed, straight,
             "{protocol:?}: resumed fluid run diverged from straight run"
         );
-        assert!(straight.steps_done() > 0, "{protocol:?}: vacuous scenario");
+        assert!(straight.1 > 0, "{protocol:?}: vacuous scenario");
     }
 }
 
@@ -215,13 +226,13 @@ fn snapshots_refuse_to_cross_the_fidelity_boundary() {
     drop((sim, rec));
 
     let fexp = Experiment::new(fluid.clone());
-    let mut engine = fexp.build_fluid().unwrap();
-    engine.run_until_ns(Duration::from_secs(7).as_nanos() as u64);
-    let fluid_bytes = fexp.snapshot_fluid(&engine).unwrap().to_bytes();
-    drop(engine);
+    let mut run = fexp.start(NoopObserver).unwrap();
+    run.advance_until_ns(Duration::from_secs(7).as_nanos() as u64);
+    let fluid_bytes = run.snapshot(&fexp).unwrap().to_bytes();
+    drop(run);
 
     let exact_snap = Snapshot::from_bytes(&exact_bytes).unwrap();
-    let err = fexp.resume_fluid_from_snapshot(&exact_snap).unwrap_err();
+    let err = fexp.resume(NoopObserver, &exact_snap).unwrap_err();
     assert!(
         matches!(err, CheckpointError::Snapshot(_)),
         "fluid engine accepted an exact snapshot: {err:?}"
@@ -403,7 +414,7 @@ fn golden_snapshot_fixture_still_restores() {
         .resume_from_snapshot(GoldenDigest::new(), &snap)
         .expect("v1 fixture must still restore");
     sim.run_until(SimTime::from_secs_f64(s.sim_time.as_secs_f64()));
-    let (digest, events) = finish_digest(sim, s.nodes);
+    let (digest, events) = finish_digest(&sim);
 
     // The resumed tail must equal today's straight run *and* the digest
     // committed alongside the fixture.

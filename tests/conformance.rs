@@ -10,9 +10,12 @@ use std::time::Duration;
 
 use cavenet_ca::FundamentalDiagram;
 use cavenet_core::checkpoint::Snapshot;
+use cavenet_core::fluid::FluidEngine;
 use cavenet_core::mobility::{MobilityTrace, NodeTrajectory, Point2, TraceSample};
-use cavenet_core::{Experiment, Fidelity, MobilitySource, Protocol, Scenario};
-use cavenet_net::{DropCounts, FaultPlan, RecoveryMode, SimTime};
+use cavenet_core::{
+    Experiment, ExperimentResult, Fidelity, MobilitySource, Protocol, Run, Scenario,
+};
+use cavenet_net::{DropCounts, FaultPlan, NoopObserver, RecoveryMode, SimTime};
 use cavenet_stats::Ensemble;
 use cavenet_testkit::{
     assert_equiv, check_golden, digest_scenario, finish_digest, GoldenDigest, InvariantChecker, Tee,
@@ -125,7 +128,7 @@ fn ring_x10_flooding_resumes_bit_identically() {
 
     let straight = digest_scenario(&s);
     assert_eq!(
-        finish_digest(sim, s.nodes),
+        finish_digest(&sim),
         (straight.digest, straight.events),
         "resumed 10x ring diverged from the straight run"
     );
@@ -422,8 +425,10 @@ proptest! {
 /// * Flooding measures 0.007 PDR error — the fluid flood closure slightly
 ///   overshoots the exact broadcast storm's residual losses.
 /// * Fig. 11's eight-sender load measures 0.069 PDR / 7.5 % goodput
-///   error: the fluid model has no per-packet route-discovery latency, so
-///   it over-delivers on the most contended class.
+///   error, and the fluid model *under*-delivers on it: PDR 0.931 against
+///   the exact engine's 1.000. The cause is open (ROADMAP item 5); the
+///   fluid model's lack of route-discovery latency could only make it
+///   over-deliver.
 fn fluid_tolerance_table() -> Vec<(&'static str, Scenario, f64, f64)> {
     let mut churn = conformance_scenario(Protocol::Aodv, 1);
     churn.fault_plan = fixed_churn_plan();
@@ -506,6 +511,18 @@ fn fluid_errors_stay_within_the_class_tolerance_table() {
 
 // --- Golden digests: the fluid backend ------------------------------------
 
+/// Run `s` (a fluid scenario) to the end; return its result and engine.
+fn run_fluid(s: Scenario) -> (ExperimentResult, FluidEngine) {
+    let exp = Experiment::new(s);
+    let mut run = exp.start(NoopObserver).expect("fluid run");
+    run.advance_until_ns(run.end_ns(&exp));
+    let result = run.collect(&exp);
+    let Run::Fluid(engine) = run else {
+        panic!("a fluid scenario must run the fluid engine");
+    };
+    (result, *engine)
+}
+
 /// Run `scenario` under the fluid backend and check it against the
 /// committed fixture `name`: the digest folds [`FluidEngine::digest`] and
 /// every [`cavenet_core::ExperimentResult`] field, the event count is the
@@ -515,7 +532,7 @@ fn fluid_errors_stay_within_the_class_tolerance_table() {
 fn check_fluid_golden(name: &str, scenario: &Scenario) {
     let mut s = scenario.clone();
     s.fidelity = Fidelity::Fluid;
-    let (r, engine) = Experiment::new(s).run_fluid().expect("fluid run");
+    let (r, engine) = run_fluid(s);
     assert!(
         r.total_sent() > 0,
         "fluid golden `{name}` carried no traffic"
@@ -612,7 +629,7 @@ fn fluid_runs_are_deterministic_and_seed_sensitive() {
     let mut s = conformance_scenario(Protocol::Aodv, 7);
     s.fidelity = Fidelity::Fluid;
     let digest_of = |s: &Scenario| {
-        let (_, engine) = Experiment::new(s.clone()).run_fluid().expect("fluid run");
+        let (_, engine) = run_fluid(s.clone());
         (engine.digest(), engine.steps_done())
     };
     let a = digest_of(&s);
